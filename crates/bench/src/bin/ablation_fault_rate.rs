@@ -10,11 +10,11 @@
 //! - a 32-byte dimension-ordered all-reduce on 512 nodes (Table 2),
 //! - one full DHFR-like MD time step on a 4x4x4 machine.
 
-use anton_bench::one_way_latency_faulty;
-use anton_collectives::{random_inputs, run_all_reduce_faulty, Algorithm};
+use anton_bench::ping_pong;
+use anton_collectives::{all_reduce, random_inputs, Algorithm};
 use anton_core::{AntonConfig, AntonMdEngine};
 use anton_md::{MdParams, SystemBuilder};
-use anton_net::FaultPlan;
+use anton_net::{FaultPlan, Run};
 use anton_topo::{Coord, TorusDims};
 
 const SEED: u64 = 2010;
@@ -47,21 +47,25 @@ fn main() {
     let mut base: Option<(f64, f64, f64)> = None;
     let mut prev_ping = 0.0;
     for rate in rates {
-        let ping = one_way_latency_faulty(
+        let run = Run {
+            fault: plan(rate),
+            ..Run::default()
+        };
+        let (ping, _) = ping_pong(
             dims512,
             Coord::new(0, 0, 0),
             Coord::new(1, 0, 0),
             0,
             false,
             32,
-            plan(rate),
+            &run,
         );
-        let ar = run_all_reduce_faulty(
+        let (ar, _) = all_reduce(
             dims512,
             Algorithm::DimensionOrdered,
             Default::default(),
             &ar_inputs,
-            plan(rate),
+            &run,
         );
 
         let sys = SystemBuilder::dhfr_like().build();

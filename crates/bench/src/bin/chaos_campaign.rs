@@ -36,9 +36,10 @@
 //! - `ANTON_CHAOS_EXTENDED=1`: after the standard matrix, sweep 10
 //!   extra seeds per level and add a 4-thread bit-identity check.
 
-use anton_collectives::{random_inputs, run_all_reduce_recovering, run_all_reduce_recovering_par};
-use anton_collectives::{RecoveringOutcome, RecoveringParams};
-use anton_net::{chaos_level_from_env, chaos_seed_from_env};
+use anton_collectives::{
+    all_reduce_recovering, random_inputs, RecoveringOutcome, RecoveringParams,
+};
+use anton_net::{chaos_level_from_env, chaos_seed_from_env, EngineKind, Run};
 use anton_obs::BenchReport;
 use anton_scenario::{presets, ScenarioSpec, Workload};
 
@@ -108,23 +109,25 @@ fn run_cell(seed: u64, level: usize, extended: bool) -> (ScenarioSpec, Recoverin
     };
     let inputs = random_inputs(dims, vlen, in_seed);
     let deaths = spec.deaths();
-    let fault = spec.fault_plan();
-    let recovery = spec.recovery_config();
     let params = RecoveringParams::default();
     let label = format!("L{level}/seed{seed}");
+    let recover = |run: &Run| all_reduce_recovering(dims, &inputs, &deaths, params, run).0;
+    let sequential = Run {
+        engine: EngineKind::Sequential,
+        ..spec.run(1)
+    };
 
-    let seq = run_all_reduce_recovering(dims, &inputs, fault.clone(), &deaths, recovery, params);
+    let seq = recover(&sequential);
     check_invariants(&spec, &seq, &inputs, &label);
 
-    let replay = run_all_reduce_recovering(dims, &inputs, fault.clone(), &deaths, recovery, params);
+    let replay = recover(&sequential);
     assert_eq!(
         seq.fingerprint(),
         replay.fingerprint(),
         "{label}: replay diverged"
     );
 
-    let par =
-        run_all_reduce_recovering_par(dims, &inputs, fault.clone(), &deaths, recovery, params, 2);
+    let par = recover(&spec.run(2));
     assert_eq!(
         seq.fingerprint(),
         par.fingerprint(),
@@ -132,8 +135,7 @@ fn run_cell(seed: u64, level: usize, extended: bool) -> (ScenarioSpec, Recoverin
     );
 
     if extended {
-        let par4 =
-            run_all_reduce_recovering_par(dims, &inputs, fault, &deaths, recovery, params, 4);
+        let par4 = recover(&spec.run(4));
         assert_eq!(
             seq.fingerprint(),
             par4.fingerprint(),

@@ -12,11 +12,11 @@
 //! `ANTON_THREADS=4` and fails on any byte of difference.
 
 use anton_collectives::{random_inputs, run_all_reduce_par, Algorithm};
-use anton_core::{run_md_exchange_par, MdExchangeParams};
+use anton_core::{md_exchange, MdExchangeParams};
 use anton_des::SimTime;
 use anton_net::{
-    threads_from_env, ClientAddr, ClientKind, CounterId, Ctx, Fabric, FaultPlan, NodeProgram,
-    Packet, ParSimulation, Payload, ProgEvent,
+    lookahead_mode_from_env, threads_from_env, ClientAddr, ClientKind, CounterId, Ctx, Fabric,
+    FaultPlan, NodeProgram, Packet, ParSimulation, Payload, ProgEvent, Run,
 };
 use anton_obs::Fingerprint;
 use anton_topo::{NodeId, TorusDims};
@@ -83,13 +83,13 @@ fn main() {
     fp.update(&out.link_traversals);
 
     // 2. MD neighbor-exchange skeleton.
-    let md = run_md_exchange_par(
+    let (md, _) = md_exchange(
         TorusDims::new(4, 4, 4),
         MdExchangeParams {
             steps: 5,
             ..Default::default()
         },
-        threads,
+        &Run::sharded(threads, lookahead_mode_from_env()),
     );
     fp.update(&md.makespan);
     fp.update(&md.checksums);

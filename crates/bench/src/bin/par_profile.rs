@@ -25,8 +25,9 @@
 use anton_collectives::{
     random_inputs, run_all_reduce_par, run_all_reduce_par_profiled, Algorithm,
 };
-use anton_core::{run_md_exchange_par, run_md_exchange_par_profiled, MdExchangeParams};
+use anton_core::{md_exchange, MdExchangeOutcome, MdExchangeParams};
 use anton_des::ParProfile;
+use anton_net::{lookahead_mode_from_env, Run};
 use anton_obs::runtime::{profile_chrome_trace, RuntimeSummary, SpeedupAttribution};
 use anton_obs::{validate_json, BenchReport, Fingerprint};
 use anton_topo::TorusDims;
@@ -46,7 +47,23 @@ fn md_params() -> MdExchangeParams {
     }
 }
 
-fn md_fingerprint(out: &anton_core::MdExchangeOutcome) -> String {
+/// The MD exchange on the sharded engine at `threads` workers under the
+/// ambient `ANTON_LOOKAHEAD` mode, profiled when `profile` is set.
+fn run_md(threads: usize, profile: bool) -> (MdExchangeOutcome, Option<ParProfile>) {
+    let run = Run {
+        profile,
+        ..Run::sharded(threads, lookahead_mode_from_env())
+    };
+    let (out, seen) = md_exchange(dims(), md_params(), &run);
+    (out, seen.profile)
+}
+
+fn md_profiled(threads: usize) -> (MdExchangeOutcome, ParProfile) {
+    let (out, profile) = run_md(threads, true);
+    (out, profile.expect("profiling was enabled"))
+}
+
+fn md_fingerprint(out: &MdExchangeOutcome) -> String {
     let mut fp = Fingerprint::new();
     fp.update(&out.makespan);
     fp.update(&out.checksums);
@@ -84,9 +101,9 @@ fn main() {
     );
 
     // --- Profiling must not change the simulation (fingerprints). -----
-    let plain = run_md_exchange_par(dims(), md_params(), PAR_THREADS);
-    let (seq_out, seq_prof) = run_md_exchange_par_profiled(dims(), md_params(), 1);
-    let (par_out, par_prof) = run_md_exchange_par_profiled(dims(), md_params(), PAR_THREADS);
+    let (plain, _) = run_md(PAR_THREADS, false);
+    let (seq_out, seq_prof) = md_profiled(1);
+    let (par_out, par_prof) = md_profiled(PAR_THREADS);
     let fp_plain = md_fingerprint(&plain);
     let fp_seq = md_fingerprint(&seq_out);
     let fp_par = md_fingerprint(&par_out);
@@ -118,11 +135,7 @@ fn main() {
         (0..2)
             .map(|_| {
                 let t = Instant::now();
-                if profiled {
-                    let _ = run_md_exchange_par_profiled(dims(), md_params(), 1);
-                } else {
-                    let _ = run_md_exchange_par(dims(), md_params(), 1);
-                }
+                let _ = run_md(1, profiled);
                 t.elapsed().as_secs_f64()
             })
             .fold(f64::INFINITY, f64::min)

@@ -30,10 +30,9 @@
 
 use anton_bench::scenario::md_fingerprint;
 use anton_collectives::{random_inputs, run_all_reduce_par, AllReduceOutcome};
-use anton_core::{
-    run_md_exchange, run_md_exchange_par, run_md_exchange_par_mode_profiled, MdExchangeOutcome,
-};
+use anton_core::{md_exchange, MdExchangeOutcome};
 use anton_des::{LookaheadMode, ParProfile};
+use anton_net::{lookahead_mode_from_env, Run};
 use anton_obs::{BenchReport, Fingerprint, RuntimeSummary};
 use anton_scenario::{presets, ScenarioSpec, Workload};
 use std::time::Instant;
@@ -68,10 +67,10 @@ fn run_workload(threads: usize, ar: &ScenarioSpec, md_spec: &ScenarioSpec) -> Ru
             threads,
         ));
     }
-    let md = run_md_exchange_par(
+    let (md, _) = md_exchange(
         md_spec.torus_dims(),
         md_spec.md_params().expect("md spec"),
-        threads,
+        &Run::sharded(threads, lookahead_mode_from_env()),
     );
     let wall_s = start.elapsed().as_secs_f64();
     let allreduce = allreduce.expect("at least one rep");
@@ -114,7 +113,7 @@ fn run_mode_comparison(
 ) -> (Vec<ModeRun>, ParProfile, ParProfile) {
     let dims = spec.torus_dims();
     let params = spec.md_params().expect("md spec");
-    let seq = run_md_exchange(dims, params);
+    let (seq, _) = md_exchange(dims, params, &Run::default());
     let seq_fp = md_fingerprint(&seq);
     println!(
         "\npar_speedup: adaptive vs global lookahead, {}-step {label} MD exchange \
@@ -131,7 +130,12 @@ fn run_mode_comparison(
     for &threads in &[1usize, 2, 4, 8] {
         for mode in [LookaheadMode::Global, LookaheadMode::Adaptive] {
             let start = Instant::now();
-            let (out, profile) = run_md_exchange_par_mode_profiled(dims, params, threads, mode);
+            let run = Run {
+                profile: true,
+                ..Run::sharded(threads, mode)
+            };
+            let (out, seen) = md_exchange(dims, params, &run);
+            let profile = seen.profile.expect("profiling was enabled");
             let wall_s = start.elapsed().as_secs_f64();
             assert_eq!(
                 md_fingerprint(&out),

@@ -32,15 +32,13 @@
 //! is byte-identical in `--quick` and full modes) as a schema-v2
 //! [`BenchReport`] — the committed `BENCH_pr8.json`.
 
-use anton_core::{
-    run_md_exchange, run_md_exchange_recorded, run_md_exchange_streamed,
-    run_md_exchange_streamed_par, MdExchangeOutcome,
-};
+use anton_core::{md_exchange, MdExchangeOutcome, MdExchangeParams};
+use anton_net::{lookahead_mode_from_env, EngineKind, ObsMode, Run};
 use anton_obs::stream::log2_bucket;
 use anton_obs::{
     fold_lifecycles, BenchReport, BreakdownSummary, ChromeTraceBuilder, ChromeTraceWriter,
     CongestionMap, Direction, LifecycleCsvWriter, MemReport, MetricsRegistry, MetricsSnapshot,
-    PacketLifecycle, StreamConfig, StreamSummary,
+    PacketLifecycle, StreamFootprint, StreamSummary,
 };
 use anton_scenario::{presets, ScenarioSpec};
 use std::io::Write as _;
@@ -56,6 +54,26 @@ const APPROX_BUDGET_BYTES_PER_NODE: u64 = 4 * 1024;
 /// checked when the instrumented allocator is installed).
 const ALLOC_BUDGET_BYTES_PER_NODE: i64 = 16 * 1024;
 
+/// The MD exchange under the stream observer on `engine`.
+fn streamed(
+    dims: anton_topo::TorusDims,
+    params: MdExchangeParams,
+    engine: EngineKind,
+) -> (MdExchangeOutcome, StreamSummary, StreamFootprint) {
+    let run = Run {
+        engine,
+        obs: ObsMode::Stream,
+        ..Run::default()
+    };
+    let (out, seen) = md_exchange(dims, params, &run);
+    let footprint = seen.footprint.expect("stream observer attached");
+    (
+        out,
+        seen.stream.expect("stream observer attached"),
+        footprint,
+    )
+}
+
 /// One scale probe: run the spec's MD exchange streamed, check
 /// budgets, return the sections. The spec is one of the committed
 /// `scale_md_*` scenarios, so its hash names this exact probe.
@@ -67,7 +85,7 @@ fn scale_run(
     let params = spec.md_params().expect("scale presets are MD specs");
     let nodes = dims.node_count() as u64;
     anton_obs::memory::reset_peaks();
-    let (out, summary, footprint) = run_md_exchange_streamed(dims, params, StreamConfig::default());
+    let (out, summary, footprint) = streamed(dims, params, EngineKind::Sequential);
     let mem = MemReport::capture();
 
     let per_node = footprint.peak_bytes / nodes;
@@ -126,10 +144,14 @@ fn reference_checks(report: &mut BenchReport) -> (StreamSummary, MetricsSnapshot
     let dims = spec.torus_dims();
     let params = spec.md_params().expect("scale presets are MD specs");
     let nodes = dims.node_count() as u64;
-    let plain = run_md_exchange(dims, params);
-    let (rec_out, events) = run_md_exchange_recorded(dims, params);
-    let (str_out, summary, footprint) =
-        run_md_exchange_streamed(dims, params, StreamConfig::default());
+    let (plain, _) = md_exchange(dims, params, &Run::default());
+    let recorded = Run {
+        obs: ObsMode::Flight,
+        ..Run::default()
+    };
+    let (rec_out, seen) = md_exchange(dims, params, &recorded);
+    let events = seen.flight;
+    let (str_out, summary, footprint) = streamed(dims, params, EngineKind::Sequential);
 
     // Zero observer effect: recording modes never move the simulation.
     for (mode, out) in [("flight", &rec_out), ("stream", &str_out)] {
@@ -176,8 +198,9 @@ fn reference_checks(report: &mut BenchReport) -> (StreamSummary, MetricsSnapshot
 
     // Shard-merged summaries are bit-identical to the sequential one.
     for threads in [2, 4] {
-        let (_, par_summary) =
-            run_md_exchange_streamed_par(dims, params, threads, StreamConfig::default());
+        let lookahead = lookahead_mode_from_env();
+        let (_, par_summary, _) =
+            streamed(dims, params, EngineKind::Sharded { threads, lookahead });
         assert_eq!(
             par_summary, summary,
             "{threads}-thread merge is bit-identical"

@@ -3,8 +3,8 @@
 
 use anton_des::{SimDuration, SimTime};
 use anton_net::{
-    ClientAddr, ClientKind, CounterId, Ctx, Fabric, FaultPlan, NodeProgram, Packet, PatternId,
-    Payload, ProgEvent, Simulation, MAX_PAYLOAD_BYTES,
+    execute, ClientAddr, ClientKind, CounterId, Ctx, Fabric, NodeProgram, Observed, Packet,
+    PatternId, Payload, ProgEvent, Run, Simulation, MAX_PAYLOAD_BYTES,
 };
 use anton_topo::{Coord, MulticastPattern, NodeId, TorusDims};
 use std::cell::RefCell;
@@ -23,8 +23,8 @@ struct PingPong {
     peer_of: [(NodeId, NodeId); 2],
     payload_bytes: u32,
     bidirectional: bool,
-    /// (stream, count) completed; finish time per stream.
-    finished: Rc<RefCell<Vec<Option<SimTime>>>>,
+    /// Finish time per stream, set on the stream's initiator.
+    finished: [Option<SimTime>; 2],
     remaining: [u32; 2],
     /// Pings the responder still expects; it stops re-arming its watch
     /// after the last one so a finished run quiesces with no counter
@@ -70,7 +70,7 @@ impl NodeProgram for PingPong {
                 if node == a {
                     self.remaining[s] -= 1;
                     if self.remaining[s] == 0 {
-                        self.finished.borrow_mut()[s] = Some(ctx.now());
+                        self.finished[s] = Some(ctx.now());
                         return;
                     }
                     ctx.reset_counter(slice0(node), counter);
@@ -89,8 +89,47 @@ impl NodeProgram for PingPong {
     }
 }
 
+/// Ping-pong between `src` and `dst` under `run`: the measured one-way
+/// latency (averaged over `iters` round trips) and what the observers
+/// saw. The latency is `None` if a ping was lost beyond the retransmit
+/// budget (the run guard then diagnoses the stall instead of hanging);
+/// under faults it includes retransmission delays. Observation never
+/// changes it by a picosecond.
+#[allow(clippy::too_many_arguments)]
+pub fn ping_pong(
+    dims: TorusDims,
+    src: Coord,
+    dst: Coord,
+    payload_bytes: u32,
+    bidirectional: bool,
+    iters: u32,
+    run: &Run,
+) -> (Option<SimDuration>, Observed) {
+    assert!(iters >= 1);
+    let (a, b) = (src.node_id(dims), dst.node_id(dims));
+    let ex = execute(
+        run,
+        || run.fabric(dims),
+        |_| PingPong {
+            peer_of: [(a, b), (b, a)],
+            payload_bytes,
+            bidirectional,
+            finished: [None; 2],
+            remaining: [iters, iters],
+            pings_to_answer: [iters, iters],
+        },
+        100_000_000,
+    );
+    let finished = ex.report.is_completed().then(|| ex.program(a).finished[0]);
+    // Each iteration is a full round trip: 2 one-way messages.
+    let latency = finished
+        .flatten()
+        .map(|t| SimDuration::from_ps((t - SimTime::ZERO).as_ps() / (2 * iters as u64)));
+    (latency, ex.into_observed())
+}
+
 /// Measured one-way latency between `src` and `dst` (averaged over
-/// `iters` round trips).
+/// `iters` round trips): [`ping_pong`] with every default.
 pub fn one_way_latency(
     dims: TorusDims,
     src: Coord,
@@ -99,139 +138,10 @@ pub fn one_way_latency(
     bidirectional: bool,
     iters: u32,
 ) -> SimDuration {
-    one_way_latency_faulty(
-        dims,
-        src,
-        dst,
-        payload_bytes,
-        bidirectional,
-        iters,
-        FaultPlan::none(),
-    )
-    .expect("fault-free ping-pong completes")
-}
-
-/// [`one_way_latency`] under a fault-injection plan: the measured mean
-/// includes retransmission delays. Returns `None` if a ping was lost
-/// beyond the retransmit budget (the ping-pong then stalls and is
-/// diagnosed by the run guard rather than hanging).
-#[allow(clippy::too_many_arguments)]
-pub fn one_way_latency_faulty(
-    dims: TorusDims,
-    src: Coord,
-    dst: Coord,
-    payload_bytes: u32,
-    bidirectional: bool,
-    iters: u32,
-    fault: FaultPlan,
-) -> Option<SimDuration> {
-    ping_pong_run(
-        dims,
-        src,
-        dst,
-        payload_bytes,
-        bidirectional,
-        iters,
-        anton_net::Timing::default(),
-        fault,
-        None,
-    )
-}
-
-/// [`one_way_latency`] with a packet flight recorder installed on the
-/// fabric: returns the measured latency plus the recorder holding every
-/// packet lifecycle of the run. Recording must not perturb timing — the
-/// returned latency is bit-identical to the unrecorded run.
-pub fn one_way_latency_recorded(
-    dims: TorusDims,
-    src: Coord,
-    dst: Coord,
-    payload_bytes: u32,
-    bidirectional: bool,
-    iters: u32,
-) -> (SimDuration, anton_obs::SharedFlightRecorder) {
-    one_way_latency_timed(
-        dims,
-        src,
-        dst,
-        payload_bytes,
-        bidirectional,
-        iters,
-        anton_net::Timing::default(),
-    )
-}
-
-/// [`one_way_latency_recorded`] under a caller-supplied [`Timing`]
-/// model — the knob the causal what-if harness turns to compare a
-/// retimed prediction against an actual perturbed re-run.
-///
-/// [`Timing`]: anton_net::Timing
-#[allow(clippy::too_many_arguments)]
-pub fn one_way_latency_timed(
-    dims: TorusDims,
-    src: Coord,
-    dst: Coord,
-    payload_bytes: u32,
-    bidirectional: bool,
-    iters: u32,
-    timing: anton_net::Timing,
-) -> (SimDuration, anton_obs::SharedFlightRecorder) {
-    let rec = anton_obs::FlightRecorder::new().into_shared();
-    let lat = ping_pong_run(
-        dims,
-        src,
-        dst,
-        payload_bytes,
-        bidirectional,
-        iters,
-        timing,
-        FaultPlan::none(),
-        Some(Box::new(rec.clone())),
-    )
-    .expect("fault-free ping-pong completes");
-    (lat, rec)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn ping_pong_run(
-    dims: TorusDims,
-    src: Coord,
-    dst: Coord,
-    payload_bytes: u32,
-    bidirectional: bool,
-    iters: u32,
-    timing: anton_net::Timing,
-    fault: FaultPlan,
-    recorder: Option<Box<dyn anton_obs::Recorder + Send>>,
-) -> Option<SimDuration> {
-    assert!(iters >= 1);
-    let finished = Rc::new(RefCell::new(vec![None; 2]));
-    let f2 = finished.clone();
-    let (a, b) = (src.node_id(dims), dst.node_id(dims));
-    let mut fabric = Fabric::with_faults(dims, timing, fault);
-    if let Some(rec) = recorder {
-        fabric.set_recorder(rec);
-    }
-    let mut sim = Simulation::new(fabric, move |_| PingPong {
-        peer_of: [(a, b), (b, a)],
-        payload_bytes,
-        bidirectional,
-        finished: f2.clone(),
-        remaining: [iters, iters],
-        pings_to_answer: [iters, iters],
-    });
-    if !sim
-        .run_guarded(SimTime(u64::MAX / 2), 100_000_000)
-        .is_completed()
-    {
-        return None;
-    }
-    let done = finished.borrow();
-    let t = done[0]?;
-    // Each iteration is a full round trip: 2 one-way messages.
-    Some(SimDuration::from_ps(
-        (t - SimTime::ZERO).as_ps() / (2 * iters as u64),
-    ))
+    let run = Run::default();
+    ping_pong(dims, src, dst, payload_bytes, bidirectional, iters, &run)
+        .0
+        .expect("fault-free ping-pong completes")
 }
 
 /// The 0-hop case of Figure 5: ping-pong between two slices on the same
@@ -749,11 +659,22 @@ mod tests {
         // path must still reproduce the paper's 162 ns.
         let dims = TorusDims::anton_512();
         let plain = one_way_latency(dims, Coord::new(0, 0, 0), Coord::new(1, 0, 0), 0, false, 4);
-        let (recorded, rec) =
-            one_way_latency_recorded(dims, Coord::new(0, 0, 0), Coord::new(1, 0, 0), 0, false, 4);
-        assert_eq!(plain, recorded);
+        let run = Run {
+            obs: anton_net::ObsMode::Flight,
+            ..Run::default()
+        };
+        let (recorded, seen) = ping_pong(
+            dims,
+            Coord::new(0, 0, 0),
+            Coord::new(1, 0, 0),
+            0,
+            false,
+            4,
+            &run,
+        );
+        assert_eq!(Some(plain), recorded);
         assert_eq!(plain, SimDuration::from_ns(162));
-        assert!(!rec.borrow().is_empty(), "recorder captured events");
+        assert!(!seen.flight.is_empty(), "recorder captured events");
     }
 
     #[test]

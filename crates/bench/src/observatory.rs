@@ -25,12 +25,12 @@
 //! only the speedup attribution touches the host clock, and it is
 //! marked informational accordingly.
 
-use anton_collectives::{random_inputs, run_all_reduce_recovering, RecoveringParams};
-use anton_core::run_md_exchange_par_profiled;
+use anton_collectives::{all_reduce_recovering, random_inputs, RecoveringParams};
+use anton_core::md_exchange;
 use anton_des::{SimDuration, SimTime};
 use anton_net::{
-    ClientAddr, ClientKind, Ctx, Fabric, FaultPlan, NodeProgram, Packet, Payload, ProgEvent,
-    Simulation, Timing,
+    lookahead_mode_from_env, ClientAddr, ClientKind, Ctx, Fabric, FaultPlan, NodeProgram, ObsMode,
+    Packet, Payload, ProgEvent, Run, Simulation, Timing,
 };
 use anton_obs::runtime::{RuntimeSummary, SpeedupAttribution};
 use anton_obs::{
@@ -42,7 +42,7 @@ use anton_topo::{Coord, NodeId, TorusDims};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use crate::microbench::one_way_latency_timed;
+use crate::microbench::ping_pong;
 use crate::suite::run_suite;
 
 /// Knobs for one collection pass.
@@ -99,19 +99,21 @@ fn causal_blame(obs: &mut ObservatoryReport, perturb: Option<&Perturbation>) {
     else {
         unreachable!("causal_pingpong is a ping-pong spec");
     };
-    let (_, rec) = one_way_latency_timed(
+    let run = Run {
+        timing: timing.clone(),
+        obs: ObsMode::Flight,
+        ..Run::default()
+    };
+    let (_, seen) = ping_pong(
         dims,
         Coord::new(from.0, from.1, from.2),
         Coord::new(to.0, to.1, to.2),
         payload_bytes,
         bidirectional,
         reps,
-        timing.clone(),
+        &run,
     );
-    let g = {
-        let rec = rec.borrow();
-        CausalGraph::build(dims, rec.events(), |b| timing.injection_occupancy(b))
-    };
+    let g = CausalGraph::build(dims, seen.flight.iter(), |b| timing.injection_occupancy(b));
     g.check_consistency()
         .expect("recorded causal graph is exact");
     let identity = Perturbation::none();
@@ -134,8 +136,18 @@ fn parallel_runtime(obs: &mut ObservatoryReport) {
     let spec = presets::observatory_md();
     let dims = spec.torus_dims();
     let params = spec.md_params().expect("observatory_md is an MD spec");
-    let (_, seq_prof) = run_md_exchange_par_profiled(dims, params, 1);
-    let (_, par_prof) = run_md_exchange_par_profiled(dims, params, spec.threads as usize);
+    let profile = |threads| {
+        let run = Run {
+            profile: true,
+            ..Run::sharded(threads, lookahead_mode_from_env())
+        };
+        md_exchange(dims, params, &run)
+            .1
+            .profile
+            .expect("profiling was enabled")
+    };
+    let seq_prof = profile(1);
+    let par_prof = profile(spec.threads as usize);
     RuntimeSummary::from_profile(&par_prof).record_into(&mut obs.metrics, "md");
 
     let attr = SpeedupAttribution::from_profile(seq_prof.wall_ns, &par_prof);
@@ -235,13 +247,17 @@ fn recovery(obs: &mut ObservatoryReport) {
         _ => unreachable!("observatory_recovery is a recovering spec"),
     };
     let inputs = random_inputs(dims, vlen, seed);
-    let out = run_all_reduce_recovering(
+    let run = Run {
+        fault: spec.fault_plan(),
+        recovery: spec.recovery_config(),
+        ..Run::default()
+    };
+    let (out, _) = all_reduce_recovering(
         dims,
         &inputs,
-        spec.fault_plan(),
         &spec.deaths(),
-        spec.recovery_config(),
         RecoveringParams::default(),
+        &run,
     );
     assert!(out.completed, "recovery cell wedged");
     let mut values = BTreeMap::new();

@@ -17,23 +17,19 @@
 //! ledger record unless the fingerprints match.
 
 use anton_collectives::{
-    random_inputs, run_all_reduce_par_timed, run_all_reduce_recovering_par_timed, CollectiveParams,
-    RecoveringParams,
+    all_reduce, all_reduce_recovering, random_inputs, CollectiveParams, RecoveringParams,
 };
-use anton_core::{
-    run_md_exchange_par_mode_profiled_timed, run_md_exchange_streamed_par_timed, MdExchangeOutcome,
-};
+use anton_core::{md_exchange, MdExchangeOutcome};
 use anton_des::SimTime;
-use anton_net::ObsMode;
+use anton_net::{EngineKind, ObsMode, Run};
 use anton_obs::runtime::RuntimeSummary;
 use anton_obs::{
-    fold_lifecycles, BreakdownSummary, Fingerprint, ObservatoryReport, Section, Stage,
-    StreamConfig, SEC_RECOVERY,
+    fold_lifecycles, BreakdownSummary, Fingerprint, ObservatoryReport, Section, Stage, SEC_RECOVERY,
 };
 use anton_scenario::{ScenarioSpec, Workload};
 use std::collections::BTreeMap;
 
-use crate::microbench::one_way_latency_timed;
+use crate::microbench::ping_pong;
 
 /// The provenance-relevant result of executing one spec.
 #[derive(Debug, Clone)]
@@ -50,20 +46,20 @@ pub struct ScenarioOutcome {
 /// explicit counts.
 pub fn run_scenario(spec: &ScenarioSpec, threads: usize) -> ScenarioOutcome {
     let dims = spec.torus_dims();
-    let timing = spec.timing_table();
+    let run = spec.run(threads);
     let label = format!("scenario {} ({})", spec.name, spec.hash_hex());
     let mut obs = ObservatoryReport::new(&label);
 
     let fingerprint = match &spec.workload {
         Workload::MdExchange { .. } => {
             let params = spec.md_params().expect("md workload");
-            let (out, profile) = run_md_exchange_par_mode_profiled_timed(
-                dims,
-                params,
-                threads,
-                spec.lookahead,
-                timing.clone(),
-            );
+            let profiled = Run {
+                obs: ObsMode::Off,
+                profile: true,
+                ..run.clone()
+            };
+            let (out, seen) = md_exchange(dims, params, &profiled);
+            let profile = seen.profile.expect("profiling was enabled");
             obs.metrics
                 .set("md_makespan_us", (out.makespan - SimTime::ZERO).as_us_f64());
             RuntimeSummary::from_profile(&profile).record_into(&mut obs.metrics, "md");
@@ -79,17 +75,12 @@ pub fn run_scenario(spec: &ScenarioSpec, threads: usize) -> ScenarioOutcome {
             );
             obs.set_section("runtime", Section::values(runtime));
 
-            if spec.obs == ObsMode::Stream {
+            if run.obs == ObsMode::Stream {
                 // Re-run under the bounded-memory observer: the summary
                 // feeds a section, and the zero-observer-effect contract
                 // is asserted right here.
-                let (sout, summary) = run_md_exchange_streamed_par_timed(
-                    dims,
-                    params,
-                    threads,
-                    StreamConfig::default(),
-                    timing.clone(),
-                );
+                let (sout, seen) = md_exchange(dims, params, &run);
+                let summary = seen.stream.expect("stream observers attached");
                 assert_eq!(sout.makespan, out.makespan, "stream observer effect");
                 assert_eq!(sout.checksums, out.checksums, "stream observer effect");
                 let mut stream = BTreeMap::new();
@@ -112,16 +103,16 @@ pub fn run_scenario(spec: &ScenarioSpec, threads: usize) -> ScenarioOutcome {
             let inputs = random_inputs(dims, *vlen as usize, *seed);
             let mut out = None;
             for _ in 0..(*reps).max(1) {
-                out = Some(run_all_reduce_par_timed(
+                out = all_reduce(
                     dims,
                     algorithm.algorithm(),
                     CollectiveParams::default(),
                     &inputs,
-                    threads,
-                    timing.clone(),
-                ));
+                    &run,
+                )
+                .0;
             }
-            let out = out.expect("at least one rep");
+            let out = out.expect("all-reduce completes");
             obs.metrics
                 .set("allreduce_latency_us", out.latency.as_us_f64());
             obs.metrics
@@ -138,16 +129,8 @@ pub fn run_scenario(spec: &ScenarioSpec, threads: usize) -> ScenarioOutcome {
         Workload::Recovering { vlen, seed, .. } => {
             let inputs = random_inputs(dims, *vlen as usize, *seed);
             let deaths = spec.deaths();
-            let out = run_all_reduce_recovering_par_timed(
-                dims,
-                &inputs,
-                spec.fault_plan(),
-                &deaths,
-                spec.recovery_config(),
-                RecoveringParams::default(),
-                threads,
-                timing,
-            );
+            let (out, _) =
+                all_reduce_recovering(dims, &inputs, &deaths, RecoveringParams::default(), &run);
             assert!(out.completed, "recovering collective wedged");
             obs.metrics
                 .set("recovering_latency_us", out.latency.as_us_f64());
@@ -173,19 +156,25 @@ pub fn run_scenario(spec: &ScenarioSpec, threads: usize) -> ScenarioOutcome {
             bidirectional,
             reps,
         } => {
-            // The microbenchmark is sequential by construction, so its
+            // The microbenchmark runs sequentially (its breakdown folds
+            // the sequential engine's packet numbering), so its
             // fingerprint is trivially thread-invariant.
-            let (latency, rec) = one_way_latency_timed(
+            let recorded = Run {
+                engine: EngineKind::Sequential,
+                obs: ObsMode::Flight,
+                ..run
+            };
+            let (latency, seen) = ping_pong(
                 dims,
                 anton_topo::Coord::new(from.0, from.1, from.2),
                 anton_topo::Coord::new(to.0, to.1, to.2),
                 *payload_bytes,
                 *bidirectional,
                 *reps,
-                timing,
+                &recorded,
             );
-            let rec = rec.borrow();
-            let (lifecycles, _) = fold_lifecycles(rec.events());
+            let latency = latency.expect("ping-pong completes");
+            let (lifecycles, _) = fold_lifecycles(seen.flight.iter());
             let summary = BreakdownSummary::from_lifecycles(&lifecycles);
             obs.metrics.set("one_way_ns", latency.as_ns_f64());
             let mut breakdown = BTreeMap::new();

@@ -9,10 +9,11 @@
 //! every metric.
 
 use anton_collectives::{random_inputs, run_all_reduce, Algorithm};
+use anton_net::{ObsMode, Run};
 use anton_obs::{fold_lifecycles, BenchReport, BreakdownSummary, Stage};
 use anton_topo::{Coord, TorusDims};
 
-use crate::microbench::{one_way_latency, one_way_latency_recorded};
+use crate::microbench::{one_way_latency, ping_pong};
 
 /// Stable metric key for a Figure 6 stage.
 fn stage_key(stage: Stage) -> &'static str {
@@ -49,17 +50,25 @@ pub fn run_suite(full: bool) -> BenchReport {
     report.set("one_way_1hop_256b_ns", full_payload.as_ns_f64());
 
     // Figure 6 stage means from recorded packet lifecycles.
-    let (_, rec) =
-        one_way_latency_recorded(dims, Coord::new(0, 0, 0), Coord::new(1, 0, 0), 0, false, 8);
-    {
-        let rec = rec.borrow();
-        let (lifecycles, _) = fold_lifecycles(rec.events());
-        let summary = BreakdownSummary::from_lifecycles(&lifecycles);
-        for stage in Stage::ALL {
-            report.set(stage_key(stage), summary.mean_ns(stage));
-        }
-        report.set("fig6_end_to_end_ns", summary.mean_end_to_end_ns());
+    let run = Run {
+        obs: ObsMode::Flight,
+        ..Run::default()
+    };
+    let (_, seen) = ping_pong(
+        dims,
+        Coord::new(0, 0, 0),
+        Coord::new(1, 0, 0),
+        0,
+        false,
+        8,
+        &run,
+    );
+    let (lifecycles, _) = fold_lifecycles(seen.flight.iter());
+    let summary = BreakdownSummary::from_lifecycles(&lifecycles);
+    for stage in Stage::ALL {
+        report.set(stage_key(stage), summary.mean_ns(stage));
     }
+    report.set("fig6_end_to_end_ns", summary.mean_end_to_end_ns());
 
     // All-reduce: the machine-wide dimension-ordered collective (the
     // paper's ~2 us global sum) and a small butterfly.

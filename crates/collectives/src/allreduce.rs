@@ -1,9 +1,9 @@
 //! All-reduce node programs running on the simulated fabric.
 
-use anton_des::{Rng, SimDuration, SimTime};
+use anton_des::{ParProfile, Rng, SimDuration, SimTime};
 use anton_net::{
-    ClientAddr, ClientKind, CounterId, Ctx, Fabric, FaultPlan, NodeProgram, Packet, ParSimulation,
-    PatternId, Payload, ProgEvent, Simulation,
+    execute, lookahead_mode_from_env, ClientAddr, ClientKind, CounterId, Ctx, Fabric, NodeProgram,
+    Observed, Packet, PatternId, Payload, ProgEvent, Run,
 };
 use anton_topo::{Coord, Dim, MulticastPattern, NodeId, TorusDims};
 
@@ -43,7 +43,7 @@ impl Default for CollectiveParams {
 }
 
 /// Result of a simulated all-reduce.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AllReduceOutcome {
     /// Time from start until every node's four slices hold the result.
     pub latency: SimDuration,
@@ -356,119 +356,104 @@ impl NodeProgram for AllReduceNode {
 }
 
 /// Run one all-reduce over `inputs` (one vector per node, all the same
-/// length) and return latency, per-node results, and traffic stats.
+/// length) under `run`: the engine, timing, fault plan and observers it
+/// names. Returns latency, per-node results and traffic stats, or
+/// `None` if the collective stalled (a packet lost beyond the
+/// retransmit budget). The outcome is bit-identical on every engine,
+/// thread count and observer setting.
 ///
 /// ```
-/// use anton_collectives::{run_all_reduce, Algorithm};
+/// use anton_collectives::{all_reduce, Algorithm};
+/// use anton_net::Run;
 /// use anton_topo::TorusDims;
 /// let dims = TorusDims::new(2, 2, 2);
 /// let inputs: Vec<Vec<f64>> = (0..8).map(|i| vec![i as f64]).collect();
-/// let out = run_all_reduce(dims, Algorithm::DimensionOrdered,
-///                          Default::default(), &inputs);
+/// let (out, _) = all_reduce(dims, Algorithm::DimensionOrdered,
+///                           Default::default(), &inputs, &Run::default());
+/// let out = out.expect("fault-free all-reduce completes");
 /// // Every node ends with the same global sum, 0+1+…+7 = 28.
 /// assert!(out.results.iter().all(|r| r[0] == 28.0));
 /// assert!(out.latency.as_us_f64() < 2.0);
 /// ```
+pub fn all_reduce(
+    dims: TorusDims,
+    algorithm: Algorithm,
+    params: CollectiveParams,
+    inputs: &[Vec<f64>],
+    run: &Run,
+) -> (Option<AllReduceOutcome>, Observed) {
+    let ex = execute(
+        run,
+        || build_allreduce_fabric(dims, run, algorithm),
+        make_programs(dims, algorithm, params, inputs),
+        100_000_000,
+    );
+    let out = ex.report.is_completed().then(|| {
+        let stats = ex.stats();
+        collect_outcome(
+            (0..dims.node_count()).map(|i| ex.program(NodeId(i))),
+            stats.packets_sent,
+            stats.link_traversals,
+        )
+    });
+    (out.flatten(), ex.into_observed())
+}
+
+/// Sequential fault-free [`all_reduce`]. Kept by name because the
+/// host-time benchmark calls it.
 pub fn run_all_reduce(
     dims: TorusDims,
     algorithm: Algorithm,
     params: CollectiveParams,
     inputs: &[Vec<f64>],
 ) -> AllReduceOutcome {
-    run_all_reduce_faulty(dims, algorithm, params, inputs, FaultPlan::none())
+    all_reduce(dims, algorithm, params, inputs, &Run::default())
+        .0
         .expect("fault-free all-reduce completes")
 }
 
-/// [`run_all_reduce`] under a fault-injection plan. Returns `None` if the
-/// collective stalled (a packet was lost beyond the retransmit budget —
-/// the stall diagnosis lives on the fabric's error log and watchdog).
-pub fn run_all_reduce_faulty(
+/// Sharded fault-free [`all_reduce`] at `threads` workers under the
+/// ambient `ANTON_LOOKAHEAD` mode. Kept by name because the host-time
+/// benchmark calls it.
+pub fn run_all_reduce_par(
     dims: TorusDims,
     algorithm: Algorithm,
     params: CollectiveParams,
     inputs: &[Vec<f64>],
-    fault: FaultPlan,
-) -> Option<AllReduceOutcome> {
-    run_all_reduce_inner(dims, algorithm, params, inputs, fault, None)
-}
-
-/// Fault-free all-reduce with a packet-lifecycle recorder installed on
-/// the fabric — every inject, link reservation, hop, delivery, and
-/// counter update of the collective lands in the recorder (pass a
-/// [`anton_obs::SharedFlightRecorder`] clone to keep a read handle).
-pub fn run_all_reduce_recorded(
-    dims: TorusDims,
-    algorithm: Algorithm,
-    params: CollectiveParams,
-    inputs: &[Vec<f64>],
-    recorder: Box<dyn anton_obs::Recorder + Send>,
+    threads: usize,
 ) -> AllReduceOutcome {
-    run_all_reduce_inner(
-        dims,
-        algorithm,
-        params,
-        inputs,
-        FaultPlan::none(),
-        Some(recorder),
-    )
-    .expect("fault-free all-reduce completes")
+    let run = Run::sharded(threads, lookahead_mode_from_env());
+    all_reduce(dims, algorithm, params, inputs, &run)
+        .0
+        .expect("fault-free all-reduce completes")
 }
 
-/// Fault-free all-reduce under a caller-supplied [`Timing`] model, with
-/// an optional recorder — the knob the causal what-if harness turns to
-/// compare a retimed prediction against an actual perturbed re-run.
-///
-/// [`Timing`]: anton_net::Timing
-pub fn run_all_reduce_timed(
+/// [`run_all_reduce_par`] with runtime profiling. Kept by name because
+/// the host-time benchmark calls it.
+pub fn run_all_reduce_par_profiled(
     dims: TorusDims,
     algorithm: Algorithm,
     params: CollectiveParams,
     inputs: &[Vec<f64>],
-    timing: anton_net::Timing,
-    recorder: Option<Box<dyn anton_obs::Recorder + Send>>,
-) -> AllReduceOutcome {
-    run_all_reduce_with(
-        dims,
-        algorithm,
-        params,
-        inputs,
-        timing,
-        FaultPlan::none(),
-        recorder,
-    )
-    .expect("fault-free all-reduce completes")
-}
-
-fn run_all_reduce_inner(
-    dims: TorusDims,
-    algorithm: Algorithm,
-    params: CollectiveParams,
-    inputs: &[Vec<f64>],
-    fault: FaultPlan,
-    recorder: Option<Box<dyn anton_obs::Recorder + Send>>,
-) -> Option<AllReduceOutcome> {
-    run_all_reduce_with(
-        dims,
-        algorithm,
-        params,
-        inputs,
-        anton_net::Timing::default(),
-        fault,
-        recorder,
+    threads: usize,
+) -> (AllReduceOutcome, ParProfile) {
+    let run = Run {
+        profile: true,
+        ..Run::sharded(threads, lookahead_mode_from_env())
+    };
+    let (out, observed) = all_reduce(dims, algorithm, params, inputs, &run);
+    (
+        out.expect("fault-free all-reduce completes"),
+        observed.profile.expect("profiling was enabled"),
     )
 }
 
-/// Build the fabric an all-reduce runs on: timing + fault plan, and for
-/// the dimension-ordered algorithm every line-broadcast multicast
-/// pattern pre-registered. Factored out so the sequential and the
-/// sharded-parallel paths construct bit-identical machines.
-fn build_allreduce_fabric(
-    dims: TorusDims,
-    timing: anton_net::Timing,
-    fault: &FaultPlan,
-    algorithm: Algorithm,
-) -> Fabric {
-    let mut fabric = Fabric::with_faults(dims, timing, fault.clone());
+/// Build the fabric an all-reduce runs on: `run`'s timing and fault
+/// plan, and for the dimension-ordered algorithm every line-broadcast
+/// multicast pattern pre-registered (so every shard replica is
+/// identical).
+fn build_allreduce_fabric(dims: TorusDims, run: &Run, algorithm: Algorithm) -> Fabric {
+    let mut fabric = run.fabric(dims);
     if algorithm == Algorithm::DimensionOrdered {
         for &dim in &Dim::ALL {
             if dims.len(dim) <= 1 {
@@ -538,138 +523,92 @@ fn collect_outcome<'a>(
     })
 }
 
-fn run_all_reduce_with(
-    dims: TorusDims,
-    algorithm: Algorithm,
-    params: CollectiveParams,
-    inputs: &[Vec<f64>],
-    timing: anton_net::Timing,
-    fault: FaultPlan,
-    recorder: Option<Box<dyn anton_obs::Recorder + Send>>,
-) -> Option<AllReduceOutcome> {
-    let mut fabric = build_allreduce_fabric(dims, timing, &fault, algorithm);
-    if let Some(rec) = recorder {
-        fabric.set_recorder(rec);
-    }
-    let mut sim = Simulation::new(fabric, make_programs(dims, algorithm, params, inputs));
-    if !sim
-        .run_guarded(SimTime(u64::MAX / 2), 100_000_000)
-        .is_completed()
-    {
-        return None;
-    }
-    collect_outcome(
-        sim.world.programs.iter(),
-        sim.world.fabric.stats.packets_sent,
-        sim.world.fabric.stats.link_traversals,
-    )
-}
-
-/// [`run_all_reduce`] on the sharded parallel engine: the torus is cut
-/// into slabs, each advanced by one of `threads` workers in conservative
-/// lookahead windows. Produces bit-identical latency, results, and
-/// traffic statistics at any thread count — and identical to
-/// [`run_all_reduce`] itself (asserted in `tests/par_allreduce.rs`).
-pub fn run_all_reduce_par(
-    dims: TorusDims,
-    algorithm: Algorithm,
-    params: CollectiveParams,
-    inputs: &[Vec<f64>],
-    threads: usize,
-) -> AllReduceOutcome {
-    run_all_reduce_par_inner(dims, algorithm, params, inputs, threads, false).0
-}
-
-/// [`run_all_reduce_par`] under a caller-supplied [`Timing`] model —
-/// the spec→builder plumbing a scenario-driven run uses to select a
-/// named timing profile instead of the Anton-1 default.
-///
-/// [`Timing`]: anton_net::Timing
-pub fn run_all_reduce_par_timed(
-    dims: TorusDims,
-    algorithm: Algorithm,
-    params: CollectiveParams,
-    inputs: &[Vec<f64>],
-    threads: usize,
-    timing: anton_net::Timing,
-) -> AllReduceOutcome {
-    run_all_reduce_par_with(dims, algorithm, params, inputs, threads, false, timing).0
-}
-
-/// [`run_all_reduce_par`] with runtime profiling enabled: also returns
-/// the engine's [`ParProfile`](anton_des::ParProfile) (worker phase accounting, per-shard event
-/// counts, cross-shard traffic). The simulated outcome is bit-identical
-/// to the unprofiled run.
-pub fn run_all_reduce_par_profiled(
-    dims: TorusDims,
-    algorithm: Algorithm,
-    params: CollectiveParams,
-    inputs: &[Vec<f64>],
-    threads: usize,
-) -> (AllReduceOutcome, anton_des::ParProfile) {
-    let (out, prof) = run_all_reduce_par_inner(dims, algorithm, params, inputs, threads, true);
-    (out, prof.expect("profiling was enabled"))
-}
-
-fn run_all_reduce_par_inner(
-    dims: TorusDims,
-    algorithm: Algorithm,
-    params: CollectiveParams,
-    inputs: &[Vec<f64>],
-    threads: usize,
-    profile: bool,
-) -> (AllReduceOutcome, Option<anton_des::ParProfile>) {
-    run_all_reduce_par_with(
-        dims,
-        algorithm,
-        params,
-        inputs,
-        threads,
-        profile,
-        anton_net::Timing::default(),
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_all_reduce_par_with(
-    dims: TorusDims,
-    algorithm: Algorithm,
-    params: CollectiveParams,
-    inputs: &[Vec<f64>],
-    threads: usize,
-    profile: bool,
-    timing: anton_net::Timing,
-) -> (AllReduceOutcome, Option<anton_des::ParProfile>) {
-    let fault = FaultPlan::none();
-    let mut sim = ParSimulation::new(
-        threads,
-        || build_allreduce_fabric(dims, timing.clone(), &fault, algorithm),
-        make_programs(dims, algorithm, params, inputs),
-    );
-    if profile {
-        sim.enable_runtime_profiling();
-    }
-    assert!(
-        sim.run_guarded(SimTime(u64::MAX / 2), 100_000_000)
-            .is_completed(),
-        "fault-free all-reduce completes"
-    );
-    let stats = sim.merged_stats();
-    let out = collect_outcome(
-        (0..dims.node_count()).map(|i| sim.program(NodeId(i))),
-        stats.packets_sent,
-        stats.link_traversals,
-    )
-    .expect("completed run recorded every node");
-    (out, sim.take_runtime_profile())
-}
-
 /// Deterministic pseudo-random inputs for tests and benches.
 pub fn random_inputs(dims: TorusDims, values: usize, seed: u64) -> Vec<Vec<f64>> {
     let mut rng = Rng::seed_from(seed);
     (0..dims.node_count())
         .map(|_| (0..values).map(|_| rng.uniform(-10.0, 10.0)).collect())
         .collect()
+}
+
+/// The equivalence-table sweep shared by the collectives' runner
+/// tests.
+#[cfg(test)]
+pub(crate) mod table {
+    use anton_des::LookaheadMode;
+    use anton_net::{EngineKind, ObsMode, Observed, Run};
+    use anton_obs::{
+        fold_lifecycles, BreakdownSummary, FlightEvent, FoldStats, PacketId, PacketLifecycle,
+    };
+
+    /// Every engine the tables sweep.
+    fn engines() -> Vec<EngineKind> {
+        let mut out = vec![EngineKind::Sequential];
+        for threads in [1, 2, 4] {
+            for lookahead in [LookaheadMode::Global, LookaheadMode::Adaptive] {
+                out.push(EngineKind::Sharded { threads, lookahead });
+            }
+        }
+        out
+    }
+
+    /// Folded lifecycles with packet ids erased, in a canonical order:
+    /// the sequential engine numbers packets machine-wide and the
+    /// sharded one per node, so only the relabelled set compares.
+    fn relabeled(flight: &[FlightEvent]) -> (Vec<PacketLifecycle>, FoldStats) {
+        let (mut lcs, fold) = fold_lifecycles(flight.iter());
+        for lc in &mut lcs {
+            lc.pkt = PacketId(0);
+        }
+        lcs.sort_by_cached_key(|lc| format!("{lc:?}"));
+        (lcs, fold)
+    }
+
+    /// Run `runner` on every engine × observer × profile setting and
+    /// assert one outcome throughout (so observed runs equal unobserved
+    /// ones), flight streams that fold to the sequential lifecycles,
+    /// stream summaries that equal the exact fold, and a profile
+    /// exactly when a sharded run asks for one.
+    pub(crate) fn sweep<T: PartialEq + std::fmt::Debug>(runner: impl Fn(&Run) -> (T, Observed)) {
+        let flight = Run {
+            obs: ObsMode::Flight,
+            ..Run::default()
+        };
+        let (reference, seen) = runner(&flight);
+        let (lcs, fold) = relabeled(&seen.flight);
+        assert!(!lcs.is_empty(), "the flight recorder saw the run");
+        let exact = BreakdownSummary::from_lifecycles(&lcs);
+        for engine in engines() {
+            for obs in [ObsMode::Off, ObsMode::Flight, ObsMode::Stream] {
+                for profile in [false, true] {
+                    let run = Run {
+                        engine,
+                        obs,
+                        profile,
+                        ..Run::default()
+                    };
+                    let (out, seen) = runner(&run);
+                    let tag = format!("{engine:?} {obs} profile={profile}");
+                    assert_eq!(out, reference, "{tag}");
+                    match obs {
+                        ObsMode::Off => {
+                            assert!(seen.flight.is_empty() && seen.stream.is_none(), "{tag}")
+                        }
+                        ObsMode::Flight => {
+                            assert_eq!(relabeled(&seen.flight), (lcs.clone(), fold), "{tag}")
+                        }
+                        ObsMode::Stream => {
+                            let summary = seen.stream.expect("stream summary");
+                            assert_eq!(summary.breakdown(), exact, "{tag}");
+                            assert_eq!(summary.fold, fold, "{tag}");
+                        }
+                    }
+                    let sharded = matches!(engine, EngineKind::Sharded { .. });
+                    assert_eq!(seen.profile.is_some(), sharded && profile, "{tag}");
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -684,6 +623,23 @@ mod tests {
             }
         }
         out
+    }
+
+    /// The runner's equivalence table on the 4³ dimension-ordered
+    /// collective.
+    #[test]
+    fn all_reduce_is_identical_on_every_engine_and_observer() {
+        let dims = TorusDims::new(4, 4, 4);
+        let inputs = random_inputs(dims, 4, 31);
+        table::sweep(|run| {
+            all_reduce(
+                dims,
+                Algorithm::DimensionOrdered,
+                Default::default(),
+                &inputs,
+                run,
+            )
+        });
     }
 
     #[test]

@@ -24,12 +24,8 @@ pub mod analysis;
 pub mod recovering;
 
 pub use allreduce::{
-    random_inputs, run_all_reduce, run_all_reduce_faulty, run_all_reduce_par,
-    run_all_reduce_par_profiled, run_all_reduce_par_timed, run_all_reduce_recorded,
-    run_all_reduce_timed, Algorithm, AllReduceOutcome, CollectiveParams,
+    all_reduce, random_inputs, run_all_reduce, run_all_reduce_par, run_all_reduce_par_profiled,
+    Algorithm, AllReduceOutcome, CollectiveParams,
 };
 pub use analysis::{butterfly_cost, dimension_ordered_cost, HopCost};
-pub use recovering::{
-    run_all_reduce_recovering, run_all_reduce_recovering_par, run_all_reduce_recovering_par_timed,
-    run_all_reduce_recovering_timed, RecoveringOutcome, RecoveringParams,
-};
+pub use recovering::{all_reduce_recovering, RecoveringOutcome, RecoveringParams};

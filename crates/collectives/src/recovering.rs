@@ -51,8 +51,8 @@
 use crate::allreduce::AllReduceOutcome;
 use anton_des::{SimDuration, SimTime};
 use anton_net::{
-    ClientAddr, ClientKind, Ctx, Fabric, FaultPlan, NetStats, NodeProgram, Packet, ParSimulation,
-    Payload, ProgEvent, RecoveryConfig, RecoveryStats, Simulation, MAX_PAYLOAD_BYTES,
+    execute, ClientAddr, ClientKind, Ctx, Fabric, NetStats, NodeProgram, Observed, Packet, Payload,
+    ProgEvent, RecoveryStats, Run, MAX_PAYLOAD_BYTES,
 };
 use anton_topo::{NodeId, TorusDims};
 use std::collections::{BTreeMap, BTreeSet};
@@ -465,209 +465,88 @@ fn make_recovering_programs(
     }
 }
 
-fn build_recovering_fabric(
-    dims: TorusDims,
-    fault: &FaultPlan,
-    deaths: &[(NodeId, SimTime)],
-    recovery: RecoveryConfig,
-    timing: &anton_net::Timing,
-) -> Fabric {
-    let mut plan = fault.clone();
+/// `run`'s fabric with every scheduled death added to its fault plan.
+fn build_recovering_fabric(dims: TorusDims, run: &Run, deaths: &[(NodeId, SimTime)]) -> Fabric {
+    let mut plan = run.fault.clone();
     for &(node, at) in deaths {
         plan = plan.fail_node_at(node.coord(dims), at);
     }
-    Fabric::with_recovery(dims, timing.clone(), plan, recovery)
+    Fabric::with_recovery(dims, run.timing.clone(), plan, run.recovery)
 }
 
-struct NodeView<'a> {
-    prog: &'a RecoveringNode,
-}
-
-fn collect_recovering_outcome<'a>(
-    programs: impl Iterator<Item = NodeView<'a>>,
-    deaths: &[(NodeId, SimTime)],
-    stats: NetStats,
-    recovery: RecoveryStats,
-    verdicts: usize,
-    completed: bool,
-) -> RecoveringOutcome {
-    let mut latency = SimDuration::ZERO;
-    let mut results = Vec::new();
-    let mut contributors = Vec::new();
-    for (i, view) in programs.enumerate() {
-        let p = view.prog;
-        if i == 0 {
-            contributors = p.contributors.clone();
-        }
-        match (&p.done_at, &p.result, p.death) {
-            (Some(t), Some(v), death) => {
-                // A node that died *after* learning the result still
-                // counts as completed; one that died first does not.
-                if death.is_none_or(|d| *t < d) {
-                    latency = latency.max(*t - SimTime::ZERO);
-                    results.push(Some(v.clone()));
-                } else {
-                    results.push(None);
-                }
-            }
-            _ => results.push(None),
-        }
-    }
-    RecoveringOutcome {
-        latency,
-        results,
-        contributors,
-        deaths: deaths.to_vec(),
-        stats,
-        recovery,
-        verdicts,
-        completed,
-    }
-}
-
-/// Run a self-healing all-reduce: the global sum over `inputs`, robust
-/// to the node deaths in `deaths` (node 0 — the tree root — must not
-/// die) and to whatever transient faults `fault` injects, recovered by
-/// `recovery`. Every live node ends with the identical sum over
-/// [`RecoveringOutcome::contributors`], which includes every node that
-/// stayed alive.
+/// Run a self-healing all-reduce under `run`: the global sum over
+/// `inputs`, robust to the node deaths in `deaths` (node 0 — the tree
+/// root — must not die) and to whatever transient faults `run.fault`
+/// injects, recovered by `run.recovery`. Every live node ends with the
+/// identical sum over [`RecoveringOutcome::contributors`], which
+/// includes every node that stayed alive. The outcome is bit-identical
+/// (see [`RecoveringOutcome::fingerprint`]) on every engine, thread
+/// count and observer setting.
 ///
 /// ```
-/// use anton_collectives::{random_inputs, run_all_reduce_recovering, RecoveringParams};
+/// use anton_collectives::{all_reduce_recovering, random_inputs, RecoveringParams};
 /// use anton_des::SimTime;
-/// use anton_net::{FaultPlan, RecoveryConfig};
+/// use anton_net::{RecoveryConfig, Run};
 /// use anton_topo::{NodeId, TorusDims};
 /// let dims = TorusDims::new(2, 2, 2);
 /// let inputs = random_inputs(dims, 2, 7);
-/// let out = run_all_reduce_recovering(
+/// let run = Run { recovery: RecoveryConfig::recovering(7), ..Run::default() };
+/// let (out, _) = all_reduce_recovering(
 ///     dims,
 ///     &inputs,
-///     FaultPlan::none(),
 ///     &[(NodeId(5), SimTime::from_ns(300))],
-///     RecoveryConfig::recovering(7),
 ///     RecoveringParams::default(),
+///     &run,
 /// );
 /// assert!(out.completed);
 /// // Dead node 5 aside, everyone holds the sum over the contributors.
 /// assert_eq!(out.results.iter().filter(|r| r.is_some()).count(), 7);
 /// ```
-pub fn run_all_reduce_recovering(
+pub fn all_reduce_recovering(
     dims: TorusDims,
     inputs: &[Vec<f64>],
-    fault: FaultPlan,
     deaths: &[(NodeId, SimTime)],
-    recovery: RecoveryConfig,
     params: RecoveringParams,
-) -> RecoveringOutcome {
-    run_all_reduce_recovering_timed(
-        dims,
-        inputs,
-        fault,
-        deaths,
-        recovery,
-        params,
-        anton_net::Timing::default(),
-    )
-}
-
-/// [`run_all_reduce_recovering`] under a caller-supplied [`Timing`]
-/// model — the spec→builder plumbing a scenario-driven run uses to
-/// select a named timing profile instead of the Anton-1 default.
-///
-/// [`Timing`]: anton_net::Timing
-#[allow(clippy::too_many_arguments)]
-pub fn run_all_reduce_recovering_timed(
-    dims: TorusDims,
-    inputs: &[Vec<f64>],
-    fault: FaultPlan,
-    deaths: &[(NodeId, SimTime)],
-    recovery: RecoveryConfig,
-    params: RecoveringParams,
-    timing: anton_net::Timing,
-) -> RecoveringOutcome {
-    let fabric = build_recovering_fabric(dims, &fault, deaths, recovery, &timing);
-    let mut sim = Simulation::new(
-        fabric,
+    run: &Run,
+) -> (RecoveringOutcome, Observed) {
+    let ex = execute(
+        run,
+        || build_recovering_fabric(dims, run, deaths),
         make_recovering_programs(dims, inputs, deaths, params),
+        200_000_000,
     );
-    let completed = sim
-        .run_guarded(SimTime(u64::MAX / 2), 200_000_000)
-        .is_completed();
-    let verdicts = sim.world.fabric.verdicts().len();
-    collect_recovering_outcome(
-        sim.world.programs.iter().map(|prog| NodeView { prog }),
-        deaths,
-        sim.world.fabric.stats.clone(),
-        *sim.world.fabric.recovery_stats(),
-        verdicts,
-        completed,
-    )
-}
-
-/// [`run_all_reduce_recovering`] on the sharded parallel engine —
-/// bit-identical outcome (asserted via
-/// [`RecoveringOutcome::fingerprint`] in tests and the chaos campaign)
-/// at any thread count.
-pub fn run_all_reduce_recovering_par(
-    dims: TorusDims,
-    inputs: &[Vec<f64>],
-    fault: FaultPlan,
-    deaths: &[(NodeId, SimTime)],
-    recovery: RecoveryConfig,
-    params: RecoveringParams,
-    threads: usize,
-) -> RecoveringOutcome {
-    run_all_reduce_recovering_par_timed(
-        dims,
-        inputs,
-        fault,
-        deaths,
-        recovery,
-        params,
-        threads,
-        anton_net::Timing::default(),
-    )
-}
-
-/// [`run_all_reduce_recovering_par`] under a caller-supplied
-/// [`Timing`](anton_net::Timing) model.
-#[allow(clippy::too_many_arguments)]
-pub fn run_all_reduce_recovering_par_timed(
-    dims: TorusDims,
-    inputs: &[Vec<f64>],
-    fault: FaultPlan,
-    deaths: &[(NodeId, SimTime)],
-    recovery: RecoveryConfig,
-    params: RecoveringParams,
-    threads: usize,
-    timing: anton_net::Timing,
-) -> RecoveringOutcome {
-    let timing = &timing;
-    let mut sim = ParSimulation::new(
-        threads,
-        move || build_recovering_fabric(dims, &fault, deaths, recovery, timing),
-        make_recovering_programs(dims, inputs, deaths, params),
-    );
-    let completed = sim
-        .run_guarded(SimTime(u64::MAX / 2), 200_000_000)
-        .is_completed();
-    let verdicts = sim.merged_verdicts().len();
-    collect_recovering_outcome(
-        (0..dims.node_count()).map(|i| NodeView {
-            prog: sim.program(NodeId(i)),
-        }),
-        deaths,
-        sim.merged_stats(),
-        sim.merged_recovery_stats(),
-        verdicts,
-        completed,
-    )
+    let mut latency = SimDuration::ZERO;
+    let mut results = Vec::with_capacity(dims.node_count() as usize);
+    for i in 0..dims.node_count() {
+        let p = ex.program(NodeId(i));
+        match (&p.done_at, &p.result) {
+            // A node that died *after* learning the result still counts
+            // as completed; one that died first does not.
+            (Some(t), Some(v)) if p.death.is_none_or(|d| *t < d) => {
+                latency = latency.max(*t - SimTime::ZERO);
+                results.push(Some(v.clone()));
+            }
+            _ => results.push(None),
+        }
+    }
+    let out = RecoveringOutcome {
+        latency,
+        results,
+        contributors: ex.program(NodeId(0)).contributors.clone(),
+        deaths: deaths.to_vec(),
+        stats: ex.stats(),
+        recovery: ex.recovery_stats(),
+        verdicts: ex.verdicts().len(),
+        completed: ex.report.is_completed(),
+    };
+    (out, ex.into_observed())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::allreduce::random_inputs;
+    use crate::allreduce::{random_inputs, table};
+    use anton_net::{FaultPlan, RecoveryConfig};
 
     fn sum_over(inputs: &[Vec<f64>], origins: &[u32]) -> Vec<f64> {
         let mut out = vec![0.0; inputs[0].len()];
@@ -679,18 +558,55 @@ mod tests {
         out
     }
 
+    /// A recovering run under `fault` with recovery seeded by `seed`.
+    fn faulty(fault: FaultPlan, seed: u64) -> Run {
+        Run {
+            fault,
+            recovery: RecoveryConfig::recovering(seed),
+            ..Run::default()
+        }
+    }
+
+    fn recover(
+        dims: TorusDims,
+        inputs: &[Vec<f64>],
+        deaths: &[(NodeId, SimTime)],
+        run: &Run,
+    ) -> RecoveringOutcome {
+        all_reduce_recovering(dims, inputs, deaths, RecoveringParams::default(), run).0
+    }
+
+    /// The runner's equivalence table: a 2³ collective with one death
+    /// fingerprints identically on every engine × observer × profile
+    /// setting, and every flight stream folds to the sequential
+    /// lifecycles.
+    #[test]
+    fn recovering_is_identical_on_every_engine_and_observer() {
+        let dims = TorusDims::new(2, 2, 2);
+        let inputs = random_inputs(dims, 2, 29);
+        let deaths = [(NodeId(5), SimTime::from_ns(300))];
+        table::sweep(|run| {
+            let (out, seen) = all_reduce_recovering(
+                dims,
+                &inputs,
+                &deaths,
+                RecoveringParams::default(),
+                &Run {
+                    recovery: RecoveryConfig::recovering(29),
+                    ..run.clone()
+                },
+            );
+            assert!(out.completed);
+            assert_eq!(out.results.iter().flatten().count(), 7, "node 5 died");
+            (out.fingerprint(), seen)
+        });
+    }
+
     #[test]
     fn fault_free_run_matches_plain_sum_everywhere() {
         let dims = TorusDims::new(4, 4, 4);
         let inputs = random_inputs(dims, 4, 11);
-        let out = run_all_reduce_recovering(
-            dims,
-            &inputs,
-            FaultPlan::none(),
-            &[],
-            RecoveryConfig::recovering(11),
-            RecoveringParams::default(),
-        );
+        let out = recover(dims, &inputs, &[], &faulty(FaultPlan::none(), 11));
         assert!(out.completed);
         assert_eq!(out.contributors, (0..64).collect::<Vec<_>>());
         let want = sum_over(&inputs, &out.contributors);
@@ -711,14 +627,7 @@ mod tests {
             (NodeId(9), SimTime::from_ns(350)),
             (NodeId(40), SimTime::from_ns(100)), // leaf-side early death
         ];
-        let out = run_all_reduce_recovering(
-            dims,
-            &inputs,
-            FaultPlan::none(),
-            &deaths,
-            RecoveryConfig::recovering(13),
-            RecoveringParams::default(),
-        );
+        let out = recover(dims, &inputs, &deaths, &faulty(FaultPlan::none(), 13));
         assert!(out.completed);
         // Every live node finished, within the documented bound.
         for (i, r) in out.results.iter().enumerate() {
@@ -746,14 +655,8 @@ mod tests {
         let dims = TorusDims::new(2, 2, 2);
         let inputs = random_inputs(dims, 2, 17);
         let deaths = [(NodeId(3), SimTime::from_ns(250))];
-        let out = run_all_reduce_recovering(
-            dims,
-            &inputs,
-            FaultPlan::seeded(17).with_drop_rate(0.02),
-            &deaths,
-            RecoveryConfig::recovering(17),
-            RecoveringParams::default(),
-        );
+        let run = faulty(FaultPlan::seeded(17).with_drop_rate(0.02), 17);
+        let out = recover(dims, &inputs, &deaths, &run);
         assert!(out.completed);
         let want = sum_over(&inputs, &out.contributors);
         for (i, r) in out.results.iter().enumerate() {
@@ -774,25 +677,21 @@ mod tests {
             (NodeId(5), SimTime::from_ns(300)),
             (NodeId(22), SimTime::from_ns(150)),
         ];
-        let fault = FaultPlan::seeded(19).with_drop_rate(0.005);
-        let rec = RecoveryConfig::recovering(19);
-        let seq = run_all_reduce_recovering(
-            dims,
-            &inputs,
-            fault.clone(),
-            &deaths,
-            rec,
-            RecoveringParams::default(),
-        );
+        let run = faulty(FaultPlan::seeded(19).with_drop_rate(0.005), 19);
+        let seq = recover(dims, &inputs, &deaths, &run);
         for threads in [1, 4] {
-            let par = run_all_reduce_recovering_par(
+            let engine = anton_net::EngineKind::Sharded {
+                threads,
+                lookahead: anton_net::lookahead_mode_from_env(),
+            };
+            let par = recover(
                 dims,
                 &inputs,
-                fault.clone(),
                 &deaths,
-                rec,
-                RecoveringParams::default(),
-                threads,
+                &Run {
+                    engine,
+                    ..run.clone()
+                },
             );
             assert_eq!(seq.fingerprint(), par.fingerprint(), "threads={threads}");
         }
@@ -803,30 +702,15 @@ mod tests {
         let dims = TorusDims::new(2, 2, 2);
         let inputs = random_inputs(dims, 3, 23);
         let deaths = [(NodeId(6), SimTime::from_ns(400))];
-        let run = || {
-            run_all_reduce_recovering(
-                dims,
-                &inputs,
-                FaultPlan::seeded(23).with_drop_rate(0.01),
-                &deaths,
-                RecoveryConfig::recovering(23),
-                RecoveringParams::default(),
-            )
-        };
-        assert_eq!(run().fingerprint(), run().fingerprint());
+        let run = faulty(FaultPlan::seeded(23).with_drop_rate(0.01), 23);
+        let replay = || recover(dims, &inputs, &deaths, &run);
+        assert_eq!(replay().fingerprint(), replay().fingerprint());
     }
 
     #[test]
     fn single_node_machine_degenerates_cleanly() {
         let dims = TorusDims::new(1, 1, 1);
-        let out = run_all_reduce_recovering(
-            dims,
-            &[vec![2.5]],
-            FaultPlan::none(),
-            &[],
-            RecoveryConfig::recovering(1),
-            RecoveringParams::default(),
-        );
+        let out = recover(dims, &[vec![2.5]], &[], &faulty(FaultPlan::none(), 1));
         assert!(out.completed);
         assert_eq!(out.results[0].as_deref(), Some(&[2.5][..]));
         assert_eq!(out.contributors, vec![0]);

@@ -7,7 +7,7 @@
 //! position-export / force-return neighbor exchange of Figure 2, with
 //! its counted remote writes and per-step compute phase — into a
 //! self-contained program whose only state is per-node, so it runs
-//! unchanged (and bit-identically) on [`ParSimulation`].
+//! unchanged (and bit-identically) on either engine a [`Run`] selects.
 //!
 //! Per step, every node:
 //!
@@ -23,12 +23,12 @@
 //! so every run — sequential or sharded, any thread count — produces
 //! identical folds and identical completion times.
 
-use anton_des::{LookaheadMode, SimDuration, SimTime};
+use anton_des::{LookaheadMode, ParProfile, SimDuration, SimTime};
 use anton_net::{
-    ClientAddr, ClientKind, CounterId, Ctx, Fabric, FaultPlan, NetStats, NodeProgram, Packet,
-    ParSimulation, Payload, ProgEvent, Simulation,
+    execute, ClientAddr, ClientKind, CounterId, Ctx, NetStats, NodeProgram, ObsMode, Observed,
+    Packet, Payload, ProgEvent, Run, Timing,
 };
-use anton_obs::{FlightEvent, StreamConfig, StreamFootprint, StreamSummary};
+use anton_obs::{StreamConfig, StreamSummary};
 use anton_topo::{Dim, NodeId, TorusDims};
 
 /// Counter the six neighbor writes of each step land on.
@@ -192,339 +192,229 @@ fn make_node(params: MdExchangeParams) -> impl FnMut(NodeId) -> MdExchangeNode {
     }
 }
 
-fn outcome(
-    nodes: impl Iterator<Item = (SimTime, f64)>,
-    stats: NetStats,
-    events: u64,
-) -> MdExchangeOutcome {
+/// Run the exchange workload under `run`: the engine, timing and fault
+/// plan it names, with its observers attached. The outcome is
+/// bit-identical on every engine, thread count and observer setting.
+///
+/// Packet uids are node-scoped on both engines, so flight streams and
+/// the stream observer's deterministic reservoir compare exactly across
+/// engines (uid assignment never affects simulated outcomes).
+pub fn md_exchange(
+    dims: TorusDims,
+    params: MdExchangeParams,
+    run: &Run,
+) -> (MdExchangeOutcome, Observed) {
+    let fabric = || {
+        let mut fabric = run.fabric(dims);
+        fabric.enable_node_scoped_uids();
+        fabric
+    };
+    let ex = execute(run, fabric, make_node(params), 1_000_000_000);
+    assert!(ex.report.is_completed(), "exchange workload completes");
     let mut makespan = SimTime::ZERO;
-    let mut checksums = Vec::new();
-    for (t, c) in nodes {
-        makespan = makespan.max(t);
-        checksums.push(c);
+    let mut checksums = Vec::with_capacity(dims.node_count() as usize);
+    for i in 0..dims.node_count() {
+        let p = ex.program(NodeId(i));
+        makespan = makespan.max(p.finished_at.expect("completed"));
+        checksums.push(p.checksum);
     }
-    MdExchangeOutcome {
+    let out = MdExchangeOutcome {
         makespan,
         checksums,
-        stats,
-        events,
-    }
+        stats: ex.stats(),
+        events: ex.events(),
+    };
+    (out, ex.into_observed())
 }
 
-/// Run the exchange workload sequentially (the reference executor).
-pub fn run_md_exchange(dims: TorusDims, params: MdExchangeParams) -> MdExchangeOutcome {
-    run_md_exchange_timed(dims, params, anton_net::Timing::default())
-}
-
-/// [`run_md_exchange`] under a caller-supplied [`Timing`] model — the
-/// spec→builder plumbing a [scenario]-driven run uses to select a named
-/// timing profile (e.g. `anton3`) instead of the Anton-1 default.
-///
-/// [`Timing`]: anton_net::Timing
-/// [scenario]: https://docs.rs/anton-scenario
+/// Sequential [`md_exchange`] under `timing`. Kept by name because the
+/// host-time benchmark calls it.
 pub fn run_md_exchange_timed(
     dims: TorusDims,
     params: MdExchangeParams,
-    timing: anton_net::Timing,
+    timing: Timing,
 ) -> MdExchangeOutcome {
-    let fabric = Fabric::with_faults(dims, timing, FaultPlan::none());
-    let mut sim = Simulation::new(fabric, make_node(params));
-    assert!(
-        sim.run_guarded(SimTime(u64::MAX / 2), 1_000_000_000)
-            .is_completed(),
-        "exchange workload completes"
-    );
-    let events = sim.events_processed();
-    outcome(
-        sim.world
-            .programs
-            .iter()
-            .map(|p| (p.finished_at.expect("completed"), p.checksum)),
-        sim.world.fabric.stats.clone(),
-        events,
+    md_exchange(
+        dims,
+        params,
+        &Run {
+            timing,
+            ..Run::default()
+        },
     )
+    .0
 }
 
-/// [`run_md_exchange`] with a full flight recorder attached: also
-/// returns the raw event stream for offline analysis. The simulated
-/// outcome is bit-identical to the unrecorded run (zero observer
-/// effect), but event memory grows with traffic — use
-/// [`run_md_exchange_streamed`] at scale.
-pub fn run_md_exchange_recorded(
-    dims: TorusDims,
-    params: MdExchangeParams,
-) -> (MdExchangeOutcome, Vec<FlightEvent>) {
-    let mut fabric = Fabric::with_faults(dims, anton_net::Timing::default(), FaultPlan::none());
-    // Node-scoped uids keep packet identities comparable with the
-    // sharded engine (uid assignment never affects simulated outcomes).
-    fabric.enable_node_scoped_uids();
-    let mut sim = Simulation::new(fabric, make_node(params));
-    sim.world.fabric.attach_owned_flight_recorder();
-    assert!(
-        sim.run_guarded(SimTime(u64::MAX / 2), 1_000_000_000)
-            .is_completed(),
-        "exchange workload completes"
-    );
-    let events = sim.events_processed();
-    let flight: Vec<FlightEvent> = sim
-        .world
-        .fabric
-        .flight_recorder()
-        .expect("recorder attached")
-        .events()
-        .cloned()
-        .collect();
-    let out = outcome(
-        sim.world
-            .programs
-            .iter()
-            .map(|p| (p.finished_at.expect("completed"), p.checksum)),
-        sim.world.fabric.stats.clone(),
-        events,
-    );
-    (out, flight)
-}
-
-/// [`run_md_exchange`] under bounded-memory streaming observability:
-/// delivered packets are folded into sketches on the fly and dropped,
-/// so observability memory stays O(nodes + links) regardless of step
-/// count. Returns the finalized summary and the observer's memory
-/// footprint. The simulated outcome is bit-identical to the
-/// unobserved run.
-pub fn run_md_exchange_streamed(
-    dims: TorusDims,
-    params: MdExchangeParams,
-    cfg: StreamConfig,
-) -> (MdExchangeOutcome, StreamSummary, StreamFootprint) {
-    run_md_exchange_streamed_timed(dims, params, cfg, anton_net::Timing::default())
-}
-
-/// [`run_md_exchange_streamed`] under a caller-supplied
-/// [`Timing`](anton_net::Timing) model.
-pub fn run_md_exchange_streamed_timed(
-    dims: TorusDims,
-    params: MdExchangeParams,
-    cfg: StreamConfig,
-    timing: anton_net::Timing,
-) -> (MdExchangeOutcome, StreamSummary, StreamFootprint) {
-    let mut fabric = Fabric::with_faults(dims, timing, FaultPlan::none());
-    // Node-scoped uids keep packet identities (and so the deterministic
-    // reservoir) bit-comparable with the sharded engine.
-    fabric.enable_node_scoped_uids();
-    let mut sim = Simulation::new(fabric, make_node(params));
-    sim.world.fabric.attach_stream_observer(cfg);
-    assert!(
-        sim.run_guarded(SimTime(u64::MAX / 2), 1_000_000_000)
-            .is_completed(),
-        "exchange workload completes"
-    );
-    let events = sim.events_processed();
-    let obs = sim
-        .world
-        .fabric
-        .stream_observer()
-        .expect("observer attached");
-    let mut summary = obs.summary();
-    summary.finalize();
-    let footprint = obs.footprint();
-    let out = outcome(
-        sim.world
-            .programs
-            .iter()
-            .map(|p| (p.finished_at.expect("completed"), p.checksum)),
-        sim.world.fabric.stats.clone(),
-        events,
-    );
-    (out, summary, footprint)
-}
-
-/// [`run_md_exchange_par`] under bounded-memory streaming
-/// observability: each shard folds its own deliveries and the
-/// per-shard summaries merge bit-deterministically. Returns the
-/// finalized merged summary; it equals the sequential
-/// [`run_md_exchange_streamed`] summary exactly.
-pub fn run_md_exchange_streamed_par(
-    dims: TorusDims,
-    params: MdExchangeParams,
-    threads: usize,
-    cfg: StreamConfig,
-) -> (MdExchangeOutcome, StreamSummary) {
-    run_md_exchange_streamed_par_timed(dims, params, threads, cfg, anton_net::Timing::default())
-}
-
-/// [`run_md_exchange_streamed_par`] under a caller-supplied
-/// [`Timing`](anton_net::Timing) model.
-pub fn run_md_exchange_streamed_par_timed(
-    dims: TorusDims,
-    params: MdExchangeParams,
-    threads: usize,
-    cfg: StreamConfig,
-    timing: anton_net::Timing,
-) -> (MdExchangeOutcome, StreamSummary) {
-    let mut sim = ParSimulation::new(
-        threads,
-        move || Fabric::with_faults(dims, timing.clone(), FaultPlan::none()),
-        make_node(params),
-    );
-    sim.attach_stream_observers(cfg);
-    assert!(
-        sim.run_guarded(SimTime(u64::MAX / 2), 1_000_000_000)
-            .is_completed(),
-        "exchange workload completes"
-    );
-    let events = sim.events_processed();
-    let summary = sim
-        .merged_stream_summary()
-        .expect("stream observers attached");
-    let out = outcome(
-        (0..dims.node_count()).map(|i| {
-            let p = sim.program(NodeId(i));
-            (p.finished_at.expect("completed"), p.checksum)
-        }),
-        sim.merged_stats(),
-        events,
-    );
-    (out, summary)
-}
-
-/// Run the exchange workload on the sharded parallel engine with
-/// `threads` workers. Bit-identical to [`run_md_exchange`] at any
-/// thread count.
-pub fn run_md_exchange_par(
-    dims: TorusDims,
-    params: MdExchangeParams,
-    threads: usize,
-) -> MdExchangeOutcome {
-    run_md_exchange_par_inner(dims, params, threads, false, None).0
-}
-
-/// [`run_md_exchange_par`] with runtime profiling enabled: also returns
-/// the engine's [`ParProfile`](anton_des::ParProfile). The simulated
-/// outcome is bit-identical to the unprofiled run.
-pub fn run_md_exchange_par_profiled(
-    dims: TorusDims,
-    params: MdExchangeParams,
-    threads: usize,
-) -> (MdExchangeOutcome, anton_des::ParProfile) {
-    let (out, prof) = run_md_exchange_par_inner(dims, params, threads, true, None);
-    (out, prof.expect("profiling was enabled"))
-}
-
-/// [`run_md_exchange_par`] with an explicit window-bound mode instead
-/// of the `ANTON_LOOKAHEAD` env default — for A/B comparisons of
-/// adaptive vs. uniform-global windows. The simulated outcome is
-/// bit-identical in both modes (asserted by `bench/par_speedup` and the
-/// tests here); only window counts and wall clock differ.
+/// Sharded [`md_exchange`] at `threads` workers under `mode`. Kept by
+/// name because the host-time benchmark calls it.
 pub fn run_md_exchange_par_mode(
     dims: TorusDims,
     params: MdExchangeParams,
     threads: usize,
     mode: LookaheadMode,
 ) -> MdExchangeOutcome {
-    run_md_exchange_par_inner(dims, params, threads, false, Some(mode)).0
+    md_exchange(dims, params, &Run::sharded(threads, mode)).0
 }
 
-/// [`run_md_exchange_par_mode`] with runtime profiling enabled.
-pub fn run_md_exchange_par_mode_profiled(
+/// Sharded, stream-observed [`md_exchange`] under `timing` and the
+/// ambient `ANTON_LOOKAHEAD` mode. Kept by name because the host-time
+/// benchmark calls it.
+pub fn run_md_exchange_streamed_par_timed(
     dims: TorusDims,
     params: MdExchangeParams,
     threads: usize,
-    mode: LookaheadMode,
-) -> (MdExchangeOutcome, anton_des::ParProfile) {
-    run_md_exchange_par_mode_profiled_timed(
-        dims,
-        params,
-        threads,
-        mode,
-        anton_net::Timing::default(),
-    )
+    cfg: StreamConfig,
+    timing: Timing,
+) -> (MdExchangeOutcome, StreamSummary) {
+    let run = Run {
+        timing,
+        obs: ObsMode::Stream,
+        stream: cfg,
+        ..Run::sharded(threads, anton_net::lookahead_mode_from_env())
+    };
+    let (out, observed) = md_exchange(dims, params, &run);
+    (out, observed.stream.expect("stream observers attached"))
 }
 
-/// [`run_md_exchange_par_mode_profiled`] under a caller-supplied
-/// [`Timing`](anton_net::Timing) model.
+/// Sharded, profiled [`md_exchange`] under `mode` and `timing`. Kept by
+/// name because the host-time benchmark calls it.
 pub fn run_md_exchange_par_mode_profiled_timed(
     dims: TorusDims,
     params: MdExchangeParams,
     threads: usize,
     mode: LookaheadMode,
-    timing: anton_net::Timing,
-) -> (MdExchangeOutcome, anton_des::ParProfile) {
-    let (out, prof) = run_md_exchange_par_with(dims, params, threads, true, Some(mode), timing);
-    (out, prof.expect("profiling was enabled"))
-}
-
-fn run_md_exchange_par_inner(
-    dims: TorusDims,
-    params: MdExchangeParams,
-    threads: usize,
-    profile: bool,
-    mode: Option<LookaheadMode>,
-) -> (MdExchangeOutcome, Option<anton_des::ParProfile>) {
-    run_md_exchange_par_with(
-        dims,
-        params,
-        threads,
-        profile,
-        mode,
-        anton_net::Timing::default(),
-    )
-}
-
-fn run_md_exchange_par_with(
-    dims: TorusDims,
-    params: MdExchangeParams,
-    threads: usize,
-    profile: bool,
-    mode: Option<LookaheadMode>,
-    timing: anton_net::Timing,
-) -> (MdExchangeOutcome, Option<anton_des::ParProfile>) {
-    let mut sim = ParSimulation::new(
-        threads,
-        move || Fabric::with_faults(dims, timing.clone(), FaultPlan::none()),
-        make_node(params),
-    );
-    if let Some(mode) = mode {
-        sim.set_lookahead_mode(mode);
-    }
-    if profile {
-        sim.enable_runtime_profiling();
-    }
-    assert!(
-        sim.run_guarded(SimTime(u64::MAX / 2), 1_000_000_000)
-            .is_completed(),
-        "exchange workload completes"
-    );
-    let events = sim.events_processed();
-    let out = outcome(
-        (0..dims.node_count()).map(|i| {
-            let p = sim.program(NodeId(i));
-            (p.finished_at.expect("completed"), p.checksum)
-        }),
-        sim.merged_stats(),
-        events,
-    );
-    (out, sim.take_runtime_profile())
+    timing: Timing,
+) -> (MdExchangeOutcome, ParProfile) {
+    let run = Run {
+        timing,
+        profile: true,
+        ..Run::sharded(threads, mode)
+    };
+    let (out, observed) = md_exchange(dims, params, &run);
+    (out, observed.profile.expect("profiling was enabled"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use anton_net::EngineKind;
 
+    fn plain(dims: TorusDims, params: MdExchangeParams) -> MdExchangeOutcome {
+        md_exchange(dims, params, &Run::default()).0
+    }
+
+    /// Every engine the equivalence table sweeps.
+    fn engines() -> Vec<EngineKind> {
+        let mut out = vec![EngineKind::Sequential];
+        for threads in [1, 2, 4] {
+            for lookahead in [LookaheadMode::Global, LookaheadMode::Adaptive] {
+                out.push(EngineKind::Sharded { threads, lookahead });
+            }
+        }
+        out
+    }
+
+    /// The runner's equivalence table: the skewed 4³ exchange on every
+    /// engine × observer × profile setting gives one outcome; observed
+    /// runs equal unobserved ones; every flight stream folds to the
+    /// sequential lifecycles and every stream summary equals the exact
+    /// fold; and the skew lets adaptive windows recover events the
+    /// global bound cannot.
     #[test]
-    fn sequential_and_parallel_agree_exactly() {
+    fn md_exchange_is_identical_on_every_engine_and_observer() {
         let dims = TorusDims::new(4, 4, 4);
         let params = MdExchangeParams {
             steps: 3,
+            compute_skew_ns: 60.0,
             ..Default::default()
         };
-        let seq = run_md_exchange(dims, params);
-        for threads in [1, 2, 4] {
-            let par = run_md_exchange_par(dims, params, threads);
-            assert_eq!(par.makespan, seq.makespan, "{threads} threads");
-            assert_eq!(par.checksums, seq.checksums);
-            assert_eq!(par.stats.packets_sent, seq.stats.packets_sent);
-            assert_eq!(par.stats.link_traversals, seq.stats.link_traversals);
+        let reference = plain(dims, params);
+        let (_, seq_flight) = md_exchange(
+            dims,
+            params,
+            &Run {
+                obs: ObsMode::Flight,
+                ..Run::default()
+            },
+        );
+        let (lcs, fold) = anton_obs::fold_lifecycles(seq_flight.flight.iter());
+        let exact = anton_obs::BreakdownSummary::from_lifecycles(&lcs);
+        let mut seq_summary = None;
+        let mut sharded_events = None;
+        let mut windows = std::collections::BTreeMap::new();
+        for engine in engines() {
+            let unobserved = md_exchange(
+                dims,
+                params,
+                &Run {
+                    engine,
+                    ..Run::default()
+                },
+            )
+            .0;
+            for obs in [ObsMode::Off, ObsMode::Flight, ObsMode::Stream] {
+                for profile in [false, true] {
+                    let run = Run {
+                        engine,
+                        obs,
+                        profile,
+                        ..Run::default()
+                    };
+                    let (out, seen) = md_exchange(dims, params, &run);
+                    let tag = format!("{engine:?} {obs} profile={profile}");
+                    assert_eq!(out.makespan, reference.makespan, "{tag}");
+                    assert_eq!(out.checksums, reference.checksums, "{tag}");
+                    assert_eq!(out.stats, reference.stats, "{tag}");
+                    // Zero observer effect, down to the event count.
+                    assert_eq!(out.events, unobserved.events, "{tag}");
+                    assert_eq!(out.stats, unobserved.stats, "{tag}");
+                    match obs {
+                        ObsMode::Off => {
+                            assert!(seen.flight.is_empty() && seen.stream.is_none(), "{tag}")
+                        }
+                        ObsMode::Flight => assert_eq!(
+                            anton_obs::fold_lifecycles(seen.flight.iter()),
+                            (lcs.clone(), fold),
+                            "{tag}"
+                        ),
+                        ObsMode::Stream => {
+                            let summary = seen.stream.expect("stream summary");
+                            assert_eq!(summary.breakdown(), exact, "{tag}");
+                            assert_eq!(summary.fold, fold, "{tag}");
+                            let first = seq_summary.get_or_insert_with(|| summary.clone());
+                            assert_eq!(&summary, first, "{tag}");
+                            let footprint = seen.footprint.expect("footprint");
+                            assert!(footprint.peak_bytes > 0 && footprint.peak_partials > 0);
+                        }
+                    }
+                    if let EngineKind::Sharded { .. } = engine {
+                        // One `Start` per shard, and the shard count never
+                        // depends on threads or window mode.
+                        let first = *sharded_events.get_or_insert(out.events);
+                        assert_eq!(out.events, first, "{tag}");
+                    }
+                    match (engine, profile) {
+                        (EngineKind::Sharded { threads, lookahead }, true) => {
+                            let p = seen.profile.expect("profile");
+                            // Window accounting is thread-invariant.
+                            let w = (p.windows, p.recovered_events, p.extended_shard_windows);
+                            let first = windows.entry(format!("{lookahead:?}")).or_insert(w);
+                            assert_eq!(w, *first, "{tag} at {threads} threads");
+                        }
+                        _ => assert!(seen.profile.is_none(), "{tag}"),
+                    }
+                }
+            }
         }
+        let (pg, pa) = (windows["Global"], windows["Adaptive"]);
+        assert!(
+            pa.0 < pg.0,
+            "skewed workload should need fewer adaptive windows ({} vs {})",
+            pa.0,
+            pg.0
+        );
+        assert!(pa.1 > 0 && pa.2 > 0, "adaptive windows recover events");
+        assert_eq!((pg.1, pg.2), (0, 0), "the global bound recovers nothing");
     }
 
     #[test]
@@ -538,7 +428,7 @@ mod tests {
             compute_ns: 100.0,
             compute_skew_ns: 0.0,
         };
-        let out = run_md_exchange(dims, params);
+        let out = plain(dims, params);
         let mut want = vec![0.0f64; dims.node_count() as usize];
         for step in 0..params.steps {
             for node in 0..dims.node_count() {
@@ -556,47 +446,18 @@ mod tests {
     }
 
     #[test]
-    fn streamed_observability_is_exact_and_shard_invariant() {
-        let dims = TorusDims::new(4, 4, 4);
-        let params = MdExchangeParams {
-            steps: 3,
-            ..Default::default()
-        };
-        let cfg = StreamConfig::default();
-        let plain = run_md_exchange(dims, params);
-        let (seq_out, seq_sum, footprint) = run_md_exchange_streamed(dims, params, cfg);
-        // Zero observer effect: the observed run is bit-identical.
-        assert_eq!(seq_out.makespan, plain.makespan);
-        assert_eq!(seq_out.checksums, plain.checksums);
-        assert_eq!(seq_out.events, plain.events);
-        // Streamed fold agrees with the offline flight-recorder fold.
-        let (_, flight) = run_md_exchange_recorded(dims, params);
-        let (lcs, stats) = anton_obs::fold_lifecycles(flight.iter());
-        let exact = anton_obs::BreakdownSummary::from_lifecycles(&lcs);
-        assert_eq!(seq_sum.breakdown(), exact);
-        assert_eq!(seq_sum.fold, stats);
-        // Sharded summaries merge to the identical summary.
-        for threads in [1, 2, 4] {
-            let (par_out, par_sum) = run_md_exchange_streamed_par(dims, params, threads, cfg);
-            assert_eq!(par_out.makespan, plain.makespan, "{threads} threads");
-            assert_eq!(par_sum, seq_sum, "{threads} threads");
-        }
-        // The observer's heap stays bounded and is accounted.
-        assert!(footprint.peak_bytes > 0);
-        assert!(footprint.peak_partials > 0);
-    }
-
-    #[test]
     fn adaptive_and_global_windows_agree_and_adaptive_never_needs_more() {
         let dims = TorusDims::new(4, 4, 4);
         let params = MdExchangeParams {
             steps: 3,
             ..Default::default()
         };
-        let seq = run_md_exchange(dims, params);
-        let (glob, pg) = run_md_exchange_par_mode_profiled(dims, params, 2, LookaheadMode::Global);
-        let (adap, pa) =
-            run_md_exchange_par_mode_profiled(dims, params, 2, LookaheadMode::Adaptive);
+        let profiled = |threads, mode| {
+            run_md_exchange_par_mode_profiled_timed(dims, params, threads, mode, Timing::default())
+        };
+        let seq = plain(dims, params);
+        let (glob, pg) = profiled(2, LookaheadMode::Global);
+        let (adap, pa) = profiled(2, LookaheadMode::Adaptive);
         // Same simulated machine in all three executions.
         assert_eq!(glob.makespan, seq.makespan);
         assert_eq!(adap.makespan, seq.makespan);
@@ -610,60 +471,24 @@ mod tests {
         assert_eq!(pg.recovered_events, 0);
         assert_eq!(pg.extended_shard_windows, 0);
         // Window counts (and recovered accounting) are thread-invariant.
-        let (_, pa4) = run_md_exchange_par_mode_profiled(dims, params, 4, LookaheadMode::Adaptive);
+        let (_, pa4) = profiled(4, LookaheadMode::Adaptive);
         assert_eq!(pa4.windows, pa.windows);
         assert_eq!(pa4.recovered_events, pa.recovered_events);
         assert_eq!(pa4.extended_shard_windows, pa.extended_shard_windows);
     }
 
-    /// With spatial load imbalance (per-slab compute skew) the shard
-    /// event streams stagger, and the adaptive per-pair bounds genuinely
-    /// widen windows past the uniform global bound — while the simulated
-    /// outcome stays bit-identical to the sequential engine.
-    #[test]
-    fn compute_skew_lets_adaptive_windows_recover_events() {
-        let dims = TorusDims::new(4, 4, 4);
-        let params = MdExchangeParams {
-            steps: 3,
-            compute_skew_ns: 60.0,
-            ..Default::default()
-        };
-        let seq = run_md_exchange(dims, params);
-        let (glob, pg) = run_md_exchange_par_mode_profiled(dims, params, 2, LookaheadMode::Global);
-        let (adap, pa) =
-            run_md_exchange_par_mode_profiled(dims, params, 2, LookaheadMode::Adaptive);
-        assert_eq!(glob.makespan, seq.makespan);
-        assert_eq!(adap.makespan, seq.makespan);
-        assert_eq!(adap.checksums, seq.checksums);
-        assert_eq!(adap.events, glob.events);
-        assert!(
-            pa.windows < pg.windows,
-            "skewed workload should need fewer adaptive windows ({} vs {})",
-            pa.windows,
-            pg.windows
-        );
-        assert!(pa.recovered_events > 0);
-        assert!(pa.extended_shard_windows > 0);
-        assert_eq!(pg.recovered_events, 0);
-    }
-
     #[test]
     fn makespan_scales_with_steps() {
         let dims = TorusDims::new(2, 2, 2);
-        let one = run_md_exchange(
-            dims,
-            MdExchangeParams {
-                steps: 1,
-                ..Default::default()
-            },
-        );
-        let five = run_md_exchange(
-            dims,
-            MdExchangeParams {
-                steps: 5,
-                ..Default::default()
-            },
-        );
-        assert!(five.makespan > one.makespan);
+        let steps = |steps| {
+            plain(
+                dims,
+                MdExchangeParams {
+                    steps,
+                    ..Default::default()
+                },
+            )
+        };
+        assert!(steps(5).makespan > steps(1).makespan);
     }
 }

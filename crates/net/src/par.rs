@@ -126,9 +126,6 @@ static SHARDS_WARNED: AtomicBool = AtomicBool::new(false);
 static THREADS_WARNED: AtomicBool = AtomicBool::new(false);
 static LOOKAHEAD_WARNED: AtomicBool = AtomicBool::new(false);
 static TELEMETRY_WARNED: AtomicBool = AtomicBool::new(false);
-static OBS_MODE_WARNED: AtomicBool = AtomicBool::new(false);
-static OBS_RESERVOIR_WARNED: AtomicBool = AtomicBool::new(false);
-static OBS_TOPK_WARNED: AtomicBool = AtomicBool::new(false);
 
 /// Live-telemetry heartbeat period from `ANTON_TELEMETRY_MS`: unset (or
 /// invalid, with a once-per-process warning) disables telemetry; `0`
@@ -280,7 +277,7 @@ pub fn lookahead_mode_from_env() -> LookaheadMode {
 }
 
 /// Which observability recorder to attach to a fabric (or one per
-/// shard), selectable at run time via `ANTON_OBS_MODE`.
+/// shard); chosen per run through [`Run::obs`](crate::Run::obs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ObsMode {
     /// No recorder: the zero-observer-effect baseline.
@@ -316,36 +313,6 @@ impl ObsMode {
             "stream" | "streaming" | "bounded" => Some(ObsMode::Stream),
             _ => None,
         }
-    }
-}
-
-/// Observability mode from `ANTON_OBS_MODE`, defaulting to
-/// [`ObsMode::Off`]; invalid values warn once on stderr (same warn-once
-/// contract as `ANTON_THREADS`/`ANTON_SHARDS`).
-pub fn obs_mode_from_env() -> ObsMode {
-    let raw = std::env::var("ANTON_OBS_MODE").ok();
-    resolve_env(
-        "ANTON_OBS_MODE",
-        raw.as_deref(),
-        ObsMode::Off,
-        &OBS_MODE_WARNED,
-        "off|flight|stream",
-        ObsMode::parse_str,
-    )
-}
-
-/// Streaming-observer configuration from the environment:
-/// `ANTON_OBS_RESERVOIR` (lifecycle sample size) and `ANTON_OBS_TOPK`
-/// (heavy-hitter streaming capacity) override the defaults; both are
-/// positive integers resolved through the shared warn-once helpers. The
-/// sampling seed is intentionally *not* an env knob — runs stay
-/// reproducible unless code opts into a different seed.
-pub fn obs_stream_config_from_env() -> StreamConfig {
-    let d = StreamConfig::default();
-    StreamConfig {
-        reservoir: env_count("ANTON_OBS_RESERVOIR", d.reservoir, &OBS_RESERVOIR_WARNED),
-        topk: env_count("ANTON_OBS_TOPK", d.topk, &OBS_TOPK_WARNED),
-        ..d
     }
 }
 
@@ -572,19 +539,6 @@ impl<P: NodeProgram + Send> ParSimulation<P> {
         for w in &mut self.worlds {
             w.fabric.attach_stream_observer(cfg);
         }
-    }
-
-    /// Attach the recorder selected by `ANTON_OBS_MODE` (with
-    /// `ANTON_OBS_RESERVOIR`/`ANTON_OBS_TOPK` sizing for stream mode)
-    /// to every shard. Returns the mode that was applied.
-    pub fn attach_observability_from_env(&mut self) -> ObsMode {
-        let mode = obs_mode_from_env();
-        match mode {
-            ObsMode::Off => {}
-            ObsMode::Flight => self.attach_flight_recorders(),
-            ObsMode::Stream => self.attach_stream_observers(obs_stream_config_from_env()),
-        }
-        mode
     }
 
     /// Select which window bound the engine applies (overriding the
@@ -875,17 +829,6 @@ pub fn merge_flight_events(per_shard: Vec<Vec<FlightEvent>>) -> Vec<FlightEvent>
     out
 }
 
-/// A convenience mirror of [`SimWorld`]-based sequential runs for tests:
-/// build the same machine sequentially from the same closures.
-///
-/// [`SimWorld`]: crate::world::SimWorld
-pub fn sequential_reference<P: NodeProgram>(
-    mut build_fabric: impl FnMut() -> Fabric,
-    make: impl FnMut(NodeId) -> P,
-) -> crate::world::Simulation<P> {
-    crate::world::Simulation::new(build_fabric(), make)
-}
-
 // Compile-time guarantee: shard worlds can cross thread boundaries.
 fn _assert_send<T: Send>() {}
 #[allow(dead_code)]
@@ -1026,25 +969,5 @@ mod tests {
         for s in ["", "fligth", "2", "on"] {
             assert_eq!(ObsMode::parse_str(s), None, "{s:?}");
         }
-    }
-
-    #[test]
-    fn obs_mode_resolution_falls_back_and_warns_once() {
-        let warned = AtomicBool::new(false);
-        let resolve = |raw: Option<&str>, warned: &AtomicBool| {
-            resolve_env(
-                "ANTON_OBS_MODE",
-                raw,
-                ObsMode::Off,
-                warned,
-                "off, flight, or stream",
-                |s| ObsMode::parse_str(s),
-            )
-        };
-        assert_eq!(resolve(Some("stream"), &warned), ObsMode::Stream);
-        assert_eq!(resolve(None, &warned), ObsMode::Off);
-        assert!(!warned.load(Ordering::Relaxed));
-        assert_eq!(resolve(Some("sideways"), &warned), ObsMode::Off);
-        assert!(warned.load(Ordering::Relaxed));
     }
 }

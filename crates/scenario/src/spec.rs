@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 
 use anton_core::MdExchangeParams;
 use anton_des::{LookaheadMode, SimTime};
-use anton_net::{FaultPlan, ObsMode, RecoveryConfig, Timing};
+use anton_net::{FaultPlan, ObsMode, RecoveryConfig, Run, Timing};
 use anton_obs::fnv1a64;
 use anton_topo::{Coord, NodeId, TorusDims};
 
@@ -283,6 +283,19 @@ impl ScenarioSpec {
             RecoveryConfig::recovering(self.recovery.seed)
         } else {
             RecoveryConfig::disabled()
+        }
+    }
+
+    /// The run configuration the spec implies at `threads` workers: the
+    /// sharded engine under the spec's lookahead mode, with its timing
+    /// table, fault plan, recovery policy and observer mode.
+    pub fn run(&self, threads: usize) -> Run {
+        Run {
+            timing: self.timing_table(),
+            fault: self.fault_plan(),
+            recovery: self.recovery_config(),
+            obs: self.obs,
+            ..Run::sharded(threads, self.lookahead)
         }
     }
 
