@@ -100,7 +100,7 @@ fn main() {
     let rdims = TorusDims::new(4, 4, 4);
     let mut sim = ParSimulation::new(
         threads,
-        move || Fabric::with_faults(rdims, anton_net::Timing::default(), FaultPlan::none()),
+        Fabric::with_faults(rdims, anton_net::Timing::default(), FaultPlan::none()),
         |_| Relay { left: 3 },
     );
     sim.attach_flight_recorders();

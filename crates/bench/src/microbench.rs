@@ -109,7 +109,7 @@ pub fn ping_pong(
     let (a, b) = (src.node_id(dims), dst.node_id(dims));
     let ex = execute(
         run,
-        || run.fabric(dims),
+        run.fabric(dims),
         |_| PingPong {
             peer_of: [(a, b), (b, a)],
             payload_bytes,

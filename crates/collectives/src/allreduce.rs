@@ -384,7 +384,7 @@ pub fn all_reduce(
 ) -> (Option<AllReduceOutcome>, Observed) {
     let ex = execute(
         run,
-        || build_allreduce_fabric(dims, run, algorithm),
+        build_allreduce_fabric(dims, run, algorithm),
         make_programs(dims, algorithm, params, inputs),
         100_000_000,
     );
@@ -784,6 +784,39 @@ mod tests {
         assert_eq!(a.latency, b.latency);
         assert_eq!(a.results, b.results);
         assert_eq!(a.packets_sent, b.packets_sent);
+    }
+
+    /// Memory guard that needs no clock: on the sharded 8³ collective
+    /// each replica creates client state only for the nodes it owns, so
+    /// the other seven-eighths of the machine stay free on every shard.
+    #[test]
+    fn shard_replicas_touch_only_owned_clients() {
+        use anton_net::{ParSimulation, ShardPlan};
+        let dims = TorusDims::new(8, 8, 8);
+        let inputs = random_inputs(dims, 4, 42);
+        let algorithm = Algorithm::DimensionOrdered;
+        let mut sim = ParSimulation::with_plan(
+            1,
+            ShardPlan::new(dims, 8),
+            build_allreduce_fabric(dims, &Run::default(), algorithm),
+            make_programs(dims, algorithm, Default::default(), &inputs),
+        );
+        assert!(sim
+            .run_guarded(SimTime(u64::MAX / 2), 100_000_000)
+            .is_completed());
+        let owned = 7 * dims.node_count() as usize / 8;
+        for w in sim.worlds() {
+            let touched: Vec<_> = w.fabric.touched_clients().collect();
+            assert!(!touched.is_empty() && touched.len() <= owned);
+            assert!(touched.iter().all(|c| w.owns(c.node)), "non-owned client");
+        }
+        let want = expected_sum(&inputs);
+        for i in 0..dims.node_count() {
+            let (_, v) = sim.program(NodeId(i)).done_at.as_ref().expect("done");
+            for (a, b) in v.iter().zip(&want) {
+                assert!((a - b).abs() < 1e-9 * b.abs().max(1.0), "{a} vs {b}");
+            }
+        }
     }
 }
 

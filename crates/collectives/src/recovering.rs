@@ -511,7 +511,7 @@ pub fn all_reduce_recovering(
 ) -> (RecoveringOutcome, Observed) {
     let ex = execute(
         run,
-        || build_recovering_fabric(dims, run, deaths),
+        build_recovering_fabric(dims, run, deaths),
         make_recovering_programs(dims, inputs, deaths, params),
         200_000_000,
     );

@@ -204,11 +204,8 @@ pub fn md_exchange(
     params: MdExchangeParams,
     run: &Run,
 ) -> (MdExchangeOutcome, Observed) {
-    let fabric = || {
-        let mut fabric = run.fabric(dims);
-        fabric.enable_node_scoped_uids();
-        fabric
-    };
+    let mut fabric = run.fabric(dims);
+    fabric.enable_node_scoped_uids();
     let ex = execute(run, fabric, make_node(params), 1_000_000_000);
     assert!(ex.report.is_completed(), "exchange workload completes");
     let mut makespan = SimTime::ZERO;

@@ -31,7 +31,7 @@ use anton_obs::{
 };
 use anton_topo::{Coord, Dim, LinkDir, LinkMask, MulticastPattern, NodeId, Route, TorusDims};
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 /// Capacity (in messages) of each slice's hardware message FIFO. The paper
 /// doesn't publish the size; migration bursts are tens of messages, so 64
@@ -164,6 +164,50 @@ struct ClientState {
     /// In-order reassembly channels, keyed by source client (recovery
     /// runs only).
     inorder: HashMap<ClientAddr, InOrderChannel>,
+}
+
+impl ClientState {
+    /// The state `kind` starts in: slices get their message FIFO.
+    fn new(kind: ClientKind) -> ClientState {
+        ClientState {
+            fifo: matches!(kind, ClientKind::Slice(_)).then(|| MsgFifo::new(FIFO_CAPACITY)),
+            ..ClientState::default()
+        }
+    }
+}
+
+/// What an untouched client reads as. No FIFO: a fresh FIFO reads the
+/// same (empty, no backpressure), and nothing reads one before a push.
+static UNTOUCHED: LazyLock<ClientState> = LazyLock::new(ClientState::default);
+
+/// Every client's state, indexed `node*7 + client`, created on first
+/// write. A shard replica only writes the clients of the nodes it owns,
+/// so the rest of the machine costs it one null pointer each.
+#[derive(Debug)]
+struct Clients(Vec<Option<Box<ClientState>>>);
+
+impl Clients {
+    fn new(len: usize) -> Clients {
+        Clients(std::iter::repeat_with(|| None).take(len).collect())
+    }
+
+    /// Read a client; an untouched one reads as its initial state.
+    fn get(&self, ci: usize) -> &ClientState {
+        self.0[ci].as_deref().unwrap_or(&UNTOUCHED)
+    }
+
+    /// Write access, creating the client's state on first touch.
+    fn touch(&mut self, ci: usize) -> &mut ClientState {
+        self.0[ci].get_or_insert_with(|| Box::new(ClientState::new(ClientKind::ALL[ci % 7])))
+    }
+
+    /// The touched clients in index order.
+    fn touched(&self) -> impl Iterator<Item = (ClientAddr, &ClientState)> {
+        self.0.iter().enumerate().filter_map(|(ci, st)| {
+            let addr = ClientAddr::new(NodeId((ci / 7) as u32), ClientKind::ALL[ci % 7]);
+            Some((addr, st.as_deref()?))
+        })
+    }
 }
 
 /// Aggregate traffic statistics.
@@ -340,9 +384,11 @@ pub struct Fabric {
     /// Busy-until per slice Tensilica core, indexed `node*7 + client`
     /// (only slice entries are used).
     core_busy: Vec<SimTime>,
-    /// Per-node, per-pattern multicast forwarding tables.
-    patterns: Vec<HashMap<PatternId, NodePatternEntry>>,
-    clients: Vec<ClientState>,
+    /// Per-node, per-pattern multicast forwarding tables. Written only
+    /// between runs and shared by every shard replica of one machine;
+    /// registering on a replica copies them first.
+    patterns: Arc<Vec<HashMap<PatternId, NodePatternEntry>>>,
+    clients: Clients,
     /// Aggregate traffic statistics.
     pub stats: NetStats,
     /// Activity tracer (tracks 0–5 are the six link directions).
@@ -392,10 +438,31 @@ pub struct Fabric {
     order_tx_seq: HashMap<(ClientAddr, ClientAddr), u64>,
 }
 
-#[derive(Debug, Clone, Default)]
+/// One node's row of a multicast pattern, stored inline so the hot
+/// paths copy it out of the shared table without allocating.
+#[derive(Debug, Clone, Copy)]
 struct NodePatternEntry {
-    forward: Vec<LinkDir>,
+    forward: [LinkDir; 6],
+    nforward: u8,
     deliver: bool,
+}
+
+impl NodePatternEntry {
+    fn new(forward: &[LinkDir], deliver: bool) -> NodePatternEntry {
+        assert!(forward.len() <= 6, "a node has six outgoing links");
+        let mut links = [LinkDir::ALL[0]; 6];
+        links[..forward.len()].copy_from_slice(forward);
+        NodePatternEntry {
+            forward: links,
+            nforward: forward.len() as u8,
+            deliver,
+        }
+    }
+
+    /// Outgoing links in table order (the order copies are injected).
+    fn forward(&self) -> &[LinkDir] {
+        &self.forward[..self.nforward as usize]
+    }
 }
 
 fn client_index(node: NodeId, client: ClientKind) -> usize {
@@ -451,17 +518,43 @@ impl Fabric {
         fault: FaultPlan,
         recovery: RecoveryConfig,
     ) -> Fabric {
+        let patterns = Arc::new(vec![HashMap::new(); dims.node_count() as usize]);
+        Fabric::build(dims, timing, fault, recovery, patterns)
+    }
+
+    /// A fresh fabric of the same machine for one shard of a parallel
+    /// run: this fabric's dims, timing, fault plan and recovery policy,
+    /// its multicast tables shared (not copied), and every piece of
+    /// mutable state new. Observation (recorder, tracing) and the uid
+    /// mode are per replica: [`crate::ParSimulation`] sets them on each
+    /// shard. Panics unless this fabric is pristine — no packet sent and
+    /// no recorder attached — since neither would carry over.
+    pub fn replica(&self) -> Fabric {
+        assert_eq!(
+            self.stats.packets_sent, 0,
+            "replica of a fabric that has sent packets"
+        );
+        assert!(
+            self.recorder.is_none(),
+            "replica of a fabric with a recorder attached"
+        );
+        Fabric::build(
+            self.dims,
+            self.timing.clone(),
+            self.fault.clone(),
+            self.recovery,
+            Arc::clone(&self.patterns),
+        )
+    }
+
+    fn build(
+        dims: TorusDims,
+        timing: Timing,
+        fault: FaultPlan,
+        recovery: RecoveryConfig,
+        patterns: Arc<Vec<HashMap<PatternId, NodePatternEntry>>>,
+    ) -> Fabric {
         let n = dims.node_count() as usize;
-        let mut clients: Vec<ClientState> = Vec::with_capacity(n * 7);
-        for _ in 0..n {
-            for kind in ClientKind::ALL {
-                let mut st = ClientState::default();
-                if matches!(kind, ClientKind::Slice(_)) {
-                    st.fifo = Some(MsgFifo::new(FIFO_CAPACITY));
-                }
-                clients.push(st);
-            }
-        }
         let mut tracer = Tracer::disabled();
         for (i, l) in LinkDir::ALL.iter().enumerate() {
             tracer.name_track(TrackId(i as u16), format!("{l} links"));
@@ -498,8 +591,8 @@ impl Fabric {
             link_busy: vec![SimTime::ZERO; n * 6],
             inject_busy: vec![SimTime::ZERO; n * 7],
             core_busy: vec![SimTime::ZERO; n * 7],
-            patterns: vec![HashMap::new(); n],
-            clients,
+            patterns,
+            clients: Clients::new(n * 7),
             stats: NetStats {
                 sent_by_node: vec![0; n],
                 delivered_by_node: vec![0; n],
@@ -648,8 +741,9 @@ impl Fabric {
     /// would exceed the 256-pattern hardware limit or the id is taken.
     pub fn register_pattern(&mut self, id: PatternId, pattern: &MulticastPattern) {
         assert_eq!(pattern.dims(), self.dims, "pattern built for other dims");
+        let tables = Arc::make_mut(&mut self.patterns);
         for (node, entry) in pattern.entries() {
-            let table = &mut self.patterns[node.index()];
+            let table = &mut tables[node.index()];
             assert!(
                 !table.contains_key(&id),
                 "pattern id {} already registered on node {}",
@@ -661,20 +755,14 @@ impl Fabric {
                 "node {} exceeds 256 multicast patterns",
                 node.0
             );
-            table.insert(
-                id,
-                NodePatternEntry {
-                    forward: entry.forward.clone(),
-                    deliver: entry.deliver,
-                },
-            );
+            table.insert(id, NodePatternEntry::new(&entry.forward, entry.deliver));
         }
     }
 
     /// Remove a pattern everywhere (bond-program regeneration reprograms
     /// tables between epochs).
     pub fn unregister_pattern(&mut self, id: PatternId) {
-        for table in &mut self.patterns {
+        for table in Arc::make_mut(&mut self.patterns) {
             table.remove(&id);
         }
     }
@@ -1267,7 +1355,7 @@ impl Fabric {
                 // Multicast trees are burned into hardware tables and do
                 // NOT reroute around failures: a dead branch silently
                 // loses that subtree (reserve_link records the loss).
-                let Some(entry) = self.patterns[src_node.index()].get(&pattern).cloned() else {
+                let Some(&entry) = self.patterns[src_node.index()].get(&pattern) else {
                     self.stats.packets_unreachable += 1;
                     self.record_error(FabricError::PatternUnknown {
                         pattern,
@@ -1305,7 +1393,7 @@ impl Fabric {
                         pkt.payload_bytes,
                     );
                 }
-                for l in entry.forward {
+                for &l in entry.forward() {
                     let start =
                         match self.reserve_link(pkt.uid, src_node, l, ready, pkt.payload_bytes) {
                             Ok(start) => start,
@@ -1444,7 +1532,7 @@ impl Fabric {
                 }
             }
             Destination::Multicast { pattern, client } => {
-                let Some(entry) = self.patterns[node.index()].get(&pattern).cloned() else {
+                let Some(&entry) = self.patterns[node.index()].get(&pattern) else {
                     self.stats.packets_lost += 1;
                     self.record_error(FabricError::PatternUnknown { pattern, node });
                     return;
@@ -1463,7 +1551,7 @@ impl Fabric {
                     );
                 }
                 let cur = node.coord(self.dims);
-                for l in entry.forward {
+                for &l in entry.forward() {
                     let ready = now + self.timing.transit_ring(in_dim, l.dim);
                     let start = match self.reserve_link(pkt.uid, node, l, ready, pkt.payload_bytes)
                     {
@@ -1515,7 +1603,7 @@ impl Fabric {
             // counted-write check drops any copy whose (source node,
             // uid) was already applied — the ack-ambiguity fork, or a
             // re-injected original whose first copy made it through.
-            if !self.clients[ci].seen.insert((pkt.src.node, pkt.uid)) {
+            if !self.clients.touch(ci).seen.insert((pkt.src.node, pkt.uid)) {
                 self.recovery_stats.duplicates_suppressed += 1;
                 if let Some(rec) = self.recorder.as_mut() {
                     rec.on_duplicate_suppressed(PacketId(pkt.uid), node, now);
@@ -1527,7 +1615,7 @@ impl Fabric {
             // parking early arrivals until their predecessors land.
             if let (true, Some(seq)) = (pkt.in_order, pkt.order_seq) {
                 let src = pkt.src;
-                let chan = self.clients[ci].inorder.entry(src).or_default();
+                let chan = self.clients.touch(ci).inorder.entry(src).or_default();
                 if seq > chan.next {
                     self.recovery_stats.inorder_holds += 1;
                     chan.held.insert(seq, pkt);
@@ -1538,7 +1626,9 @@ impl Fabric {
                 self.apply_delivery(pkt, node, client, now, sched);
                 // Drain consecutively-held successors at this instant.
                 loop {
-                    let chan = self.clients[ci]
+                    let chan = self
+                        .clients
+                        .touch(ci)
                         .inorder
                         .get_mut(&src)
                         .expect("channel created above");
@@ -1579,7 +1669,7 @@ impl Fabric {
         let uid = pkt.uid;
         match pkt.kind {
             PacketKind::Write => {
-                self.clients[ci].mem.write(pkt.addr, pkt.payload);
+                self.clients.touch(ci).mem.write(pkt.addr, pkt.payload);
             }
             PacketKind::Accumulate => {
                 assert!(
@@ -1587,7 +1677,7 @@ impl Fabric {
                     "accumulate delivered to non-accumulation client"
                 );
                 match &pkt.payload {
-                    Payload::I32s(vs) => self.clients[ci].accum.accumulate(pkt.addr, vs),
+                    Payload::I32s(vs) => self.clients.touch(ci).accum.accumulate(pkt.addr, vs),
                     Payload::Empty => {}
                     _other => {
                         self.stats.delivery_errors += 1;
@@ -1597,14 +1687,15 @@ impl Fabric {
                 }
             }
             PacketKind::Fifo => {
-                let Some(fifo) = self.clients[ci].fifo.as_mut() else {
+                let Some(fifo) = self.clients.touch(ci).fifo.as_mut() else {
                     self.stats.delivery_errors += 1;
                     self.record_error(FabricError::FifoToNonSlice { node, client });
                     return;
                 };
                 fifo.push(pkt);
-                if !self.clients[ci].fifo_service_pending {
-                    self.clients[ci].fifo_service_pending = true;
+                let st = self.clients.touch(ci);
+                if !st.fifo_service_pending {
+                    st.fifo_service_pending = true;
                     sched.at(now, Ev::FifoService { node, client });
                 }
                 // FIFO messages never carry counters: synchronization of
@@ -1616,7 +1707,7 @@ impl Fabric {
         }
         let counter = match counter {
             Some(c) if c == COUNTER_BY_SOURCE => {
-                match self.clients[ci].source_counters.get(&pkt_src) {
+                match self.clients.get(ci).source_counters.get(&pkt_src) {
                     Some(&mapped) => Some(mapped),
                     None => {
                         // The write landed, but no counter can be bumped:
@@ -1632,7 +1723,7 @@ impl Fabric {
         };
         if let Some(cid) = counter {
             let mut fire_at = None;
-            if self.clients[ci].counters.increment(cid) {
+            if self.clients.touch(ci).counters.increment(cid) {
                 // A watch fired. Slices and the HTIS poll their own
                 // counters locally (cost already inside deliver_poll);
                 // accumulation-memory counters are polled by a slice
@@ -1697,12 +1788,17 @@ impl Fabric {
             return;
         }
         let done = now + SimDuration::from_ns_f64(self.timing.fifo_pop_ns);
-        let fifo = self.clients[ci].fifo.as_mut().expect("slice has a FIFO");
+        let fifo = self
+            .clients
+            .touch(ci)
+            .fifo
+            .as_mut()
+            .expect("slice has a FIFO");
         match fifo.pop() {
             Some(pkt) => {
                 self.core_busy[ci] = done;
                 let more = !fifo.is_empty();
-                self.clients[ci].fifo_service_pending = more;
+                self.clients.touch(ci).fifo_service_pending = more;
                 sched.at(
                     done,
                     Ev::Prog {
@@ -1715,7 +1811,7 @@ impl Fabric {
                 }
             }
             None => {
-                self.clients[ci].fifo_service_pending = false;
+                self.clients.touch(ci).fifo_service_pending = false;
             }
         }
     }
@@ -1724,14 +1820,16 @@ impl Fabric {
 
     /// Read a client's local memory cell.
     pub fn mem_read(&self, addr: ClientAddr, a: u64) -> Option<&Payload> {
-        self.clients[client_index(addr.node, addr.client)]
+        self.clients
+            .get(client_index(addr.node, addr.client))
             .mem
             .read(a)
     }
 
     /// Take (consume) a client's local memory cell.
     pub fn mem_take(&mut self, addr: ClientAddr, a: u64) -> Option<Payload> {
-        self.clients[client_index(addr.node, addr.client)]
+        self.clients
+            .touch(client_index(addr.node, addr.client))
             .mem
             .take(a)
     }
@@ -1739,14 +1837,16 @@ impl Fabric {
     /// Write a client's local memory directly (software-local store, no
     /// network traffic).
     pub fn mem_write(&mut self, addr: ClientAddr, a: u64, p: Payload) {
-        self.clients[client_index(addr.node, addr.client)]
+        self.clients
+            .touch(client_index(addr.node, addr.client))
             .mem
             .write(a, p);
     }
 
     /// Drain a range of a client's local memory.
     pub fn mem_drain_range(&mut self, addr: ClientAddr, lo: u64, hi: u64) -> Vec<(u64, Payload)> {
-        self.clients[client_index(addr.node, addr.client)]
+        self.clients
+            .touch(client_index(addr.node, addr.client))
             .mem
             .drain_range(lo, hi)
     }
@@ -1754,28 +1854,32 @@ impl Fabric {
     /// Read `n` 4-byte words from an accumulation memory.
     pub fn accum_read(&self, addr: ClientAddr, a: u64, n: usize) -> Vec<i32> {
         assert!(matches!(addr.client, ClientKind::Accum(_)));
-        self.clients[client_index(addr.node, addr.client)]
+        self.clients
+            .get(client_index(addr.node, addr.client))
             .accum
             .read(a, n)
     }
 
     /// Zero `n` words of an accumulation memory.
     pub fn accum_clear(&mut self, addr: ClientAddr, a: u64, n: usize) {
-        self.clients[client_index(addr.node, addr.client)]
+        self.clients
+            .touch(client_index(addr.node, addr.client))
             .accum
             .clear(a, n);
     }
 
     /// Current value of a synchronization counter.
     pub fn counter_read(&self, addr: ClientAddr, id: CounterId) -> u64 {
-        self.clients[client_index(addr.node, addr.client)]
+        self.clients
+            .get(client_index(addr.node, addr.client))
             .counters
             .read(id)
     }
 
     /// Reset a counter to zero.
     pub fn counter_reset(&mut self, addr: ClientAddr, id: CounterId) {
-        self.clients[client_index(addr.node, addr.client)]
+        self.clients
+            .touch(client_index(addr.node, addr.client))
             .counters
             .reset(id);
     }
@@ -1791,7 +1895,9 @@ impl Fabric {
         now: SimTime,
         sched: &mut Scheduler<Ev>,
     ) {
-        let already = self.clients[client_index(addr.node, addr.client)]
+        let already = self
+            .clients
+            .touch(client_index(addr.node, addr.client))
             .counters
             .watch(id, target);
         if already {
@@ -1818,7 +1924,10 @@ impl Fabric {
     /// counter (the simulation keeps running — a later arrival may still
     /// satisfy the watch).
     pub fn watchdog_check(&mut self, addr: ClientAddr, id: CounterId, target: u64, now: SimTime) {
-        let counters = &self.clients[client_index(addr.node, addr.client)].counters;
+        let counters = &self
+            .clients
+            .get(client_index(addr.node, addr.client))
+            .counters;
         let current = counters.read(id);
         if counters.has_watch(id) && current < target {
             self.watchdog_reports.push(WatchdogReport {
@@ -1837,11 +1946,9 @@ impl Fabric {
     /// detector's evidence when a run drains without completing.
     pub fn stuck_watches(&self) -> Vec<(NodeId, ClientKind, CounterId, u64, u64)> {
         let mut out = Vec::new();
-        for (ci, st) in self.clients.iter().enumerate() {
+        for (addr, st) in self.clients.touched() {
             for (id, target) in st.counters.pending_watches() {
-                let node = NodeId((ci / 7) as u32);
-                let client = ClientKind::ALL[ci % 7];
-                out.push((node, client, id, target, st.counters.read(id)));
+                out.push((addr.node, addr.client, id, target, st.counters.read(id)));
             }
         }
         out
@@ -1855,7 +1962,9 @@ impl Fabric {
         addr: ClientAddr,
         map: HashMap<anton_topo::NodeId, CounterId>,
     ) {
-        self.clients[client_index(addr.node, addr.client)].source_counters = map;
+        self.clients
+            .touch(client_index(addr.node, addr.client))
+            .source_counters = map;
     }
 
     /// Mark the phase label applied to subsequently traced link activity
@@ -1879,7 +1988,7 @@ impl Fabric {
         let mut backpressure = 0u64;
         let mut incs = 0u64;
         let mut fires = 0u64;
-        for st in &self.clients {
+        for (_, st) in self.clients.touched() {
             if let Some(f) = &st.fifo {
                 hw = hw.max(f.high_watermark());
                 backpressure += f.backpressure_events();
@@ -1895,15 +2004,105 @@ impl Fabric {
 
     /// FIFO backpressure events observed so far on a slice (diagnostics).
     pub fn fifo_backpressure_events(&self, addr: ClientAddr) -> u64 {
-        self.clients[client_index(addr.node, addr.client)]
+        self.clients
+            .get(client_index(addr.node, addr.client))
             .fifo
             .as_ref()
             .map(|f| f.backpressure_events())
             .unwrap_or(0)
     }
 
+    /// The clients whose state exists, in node order: every client
+    /// written so far (by a delivery or a program). All others read as
+    /// their initial state, which [`Fabric::replica`] relies on to keep
+    /// a shard's non-owned nodes free.
+    pub fn touched_clients(&self) -> impl Iterator<Item = ClientAddr> + '_ {
+        self.clients.touched().map(|(addr, _)| addr)
+    }
+
     /// Coordinates helper.
     pub fn coord(&self, node: NodeId) -> Coord {
         node.coord(self.dims)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::world::{Ctx, NodeProgram, Simulation};
+
+    fn line(dims: TorusDims, x: u32) -> MulticastPattern {
+        MulticastPattern::line_broadcast(Coord::new(x, 0, 0), Dim::ALL[0], dims, true)
+    }
+
+    fn template() -> Fabric {
+        let dims = TorusDims::new(4, 2, 2);
+        let mut f = Fabric::new(dims);
+        f.register_pattern(PatternId(1), &line(dims, 0));
+        f
+    }
+
+    fn has_pattern(f: &Fabric, id: PatternId) -> bool {
+        f.patterns.iter().any(|t| t.contains_key(&id))
+    }
+
+    #[test]
+    fn replicas_share_the_template_tables() {
+        let t = template();
+        let (a, b) = (t.replica(), t.replica());
+        assert!(Arc::ptr_eq(&a.patterns, &t.patterns));
+        assert!(Arc::ptr_eq(&b.patterns, &t.patterns));
+        assert!(has_pattern(&a, PatternId(1)));
+        assert_eq!(a.dims(), t.dims());
+        assert_eq!(a.timing(), t.timing());
+        assert_eq!(a.touched_clients().count(), 0);
+    }
+
+    #[test]
+    fn registering_on_a_replica_copies_its_tables() {
+        let t = template();
+        let (mut a, mut b, c) = (t.replica(), t.replica(), t.replica());
+        a.register_pattern(PatternId(2), &line(t.dims(), 1));
+        assert!(!Arc::ptr_eq(&a.patterns, &t.patterns));
+        assert!(has_pattern(&a, PatternId(2)));
+        for other in [&t, &b, &c] {
+            assert!(!has_pattern(other, PatternId(2)), "registration leaked");
+        }
+        b.unregister_pattern(PatternId(1));
+        assert!(!has_pattern(&b, PatternId(1)));
+        for other in [&t, &a, &c] {
+            assert!(has_pattern(other, PatternId(1)), "removal leaked");
+        }
+        assert!(Arc::ptr_eq(&c.patterns, &t.patterns));
+    }
+
+    #[test]
+    #[should_panic(expected = "recorder attached")]
+    fn replica_of_an_observed_fabric_panics() {
+        let mut t = template();
+        t.attach_owned_flight_recorder();
+        let _ = t.replica();
+    }
+
+    /// Node 0 sends one write to node 1 at start.
+    struct OneSend;
+
+    impl NodeProgram for OneSend {
+        fn on_event(&mut self, node: NodeId, pe: ProgEvent, ctx: &mut Ctx<'_, '_>) {
+            if let (ProgEvent::Start, 0) = (pe, node.0) {
+                let to = ClientAddr::new(NodeId(1), ClientKind::Slice(0));
+                let me = ClientAddr::new(node, ClientKind::Slice(0));
+                ctx.send(Packet::write(me, to, 0, Payload::Empty));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "has sent packets")]
+    fn replica_of_a_used_fabric_panics() {
+        let mut sim = Simulation::new(template(), |_| OneSend);
+        sim.run();
+        assert_eq!(sim.world.fabric.stats.packets_sent, 1);
+        let _ = sim.world.fabric.replica();
     }
 }

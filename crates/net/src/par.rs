@@ -24,16 +24,20 @@
 //!
 //! ## Shard worlds
 //!
-//! Each shard owns a **full fabric replica** built by the same
-//! constructor closure (identical dims, timing, fault plan, multicast
-//! tables) but is *authoritative only for its own nodes*: an event for
-//! node `n` executes exclusively on `n`'s owning shard, so each node's
+//! The machine's fabric is built once. Each shard owns a **replica** of
+//! it ([`Fabric::replica`]): the same dims, timing, fault plan and
+//! recovery policy, the multicast tables shared behind one `Arc` (they
+//! are only read during a run), and mutable state of its own. A replica
+//! is *authoritative only for its own nodes*: an event for node `n`
+//! executes exclusively on `n`'s owning shard, so each node's
 //! link/port/core/memory state is touched by exactly one replica, and a
-//! replica's non-owned state simply stays at its initial value. Per-link
-//! fault draws are keyed on per-link attempt sequence numbers, which
-//! advance only on the owning replica — so a sharded run draws the same
-//! faults the sequential run does. Statistics, recorded flight events,
-//! trace intervals, error logs, and watchdog reports are merged across
+//! replica's non-owned state simply stays at its initial value. Client
+//! state is created on first write, so that non-owned remainder costs a
+//! replica almost nothing to build, hold or drop. Per-link fault draws
+//! are keyed on per-link attempt sequence numbers, which advance only
+//! on the owning replica — so a sharded run draws the same faults the
+//! sequential run does. Statistics, recorded flight events, trace
+//! intervals, error logs, and watchdog reports are merged across
 //! replicas in deterministic shard order after the run.
 //!
 //! Packet uids are node-scoped in this mode
@@ -370,9 +374,9 @@ impl ShardMap<Ev> for EvShardMap {
     }
 }
 
-/// One shard's slice of the machine: a full fabric replica
-/// (authoritative for this shard's nodes only) plus one program per
-/// node (only the owned ones ever run).
+/// One shard's slice of the machine: a fabric replica (authoritative
+/// for this shard's nodes only) plus one program per node (only the
+/// owned ones ever run).
 pub struct NodeShardWorld<P: NodeProgram> {
     shard: usize,
     plan: ShardPlan,
@@ -456,49 +460,44 @@ pub struct ParSimulation<P: NodeProgram> {
 }
 
 impl<P: NodeProgram + Send> ParSimulation<P> {
-    /// Build a sharded machine. `build_fabric` is called once per shard
-    /// and must construct *identical* fabrics (same dims, timing, fault
-    /// plan, and pre-registered multicast patterns — register patterns
-    /// inside the closure, not afterwards); `make` is called per shard
-    /// per node and must be a pure function of the node id. `threads`
-    /// picks the worker count (1 = sequential reference execution).
+    /// Build a sharded machine from `fabric`, the machine's one built
+    /// fabric (dims, timing, fault plan, recovery policy and multicast
+    /// patterns — register patterns on it before this call). Every shard
+    /// gets a [`Fabric::replica`] of it, sharing its pattern tables;
+    /// `make` is called per shard per node and must be a pure function
+    /// of the node id. `threads` picks the worker count (1 = sequential
+    /// reference execution).
     ///
     /// Mid-run mutation of *other* nodes' fabric state through
     /// [`Ctx::fabric_mut`] (e.g. re-registering a multicast pattern
     /// mid-run) is not supported in the sharded mode: a replica's
-    /// pattern tables are only consulted for owned nodes, so pre-run
-    /// registration via `build_fabric` is the supported path.
-    pub fn new(
-        threads: usize,
-        mut build_fabric: impl FnMut() -> Fabric,
-        make: impl FnMut(NodeId) -> P,
-    ) -> ParSimulation<P> {
-        let plan = ShardPlan::auto(build_fabric().dims());
-        ParSimulation::with_plan(threads, plan, build_fabric, make)
+    /// pattern tables are only consulted for owned nodes, and
+    /// registering on a replica copies its tables away from its
+    /// siblings'.
+    pub fn new(threads: usize, fabric: Fabric, make: impl FnMut(NodeId) -> P) -> ParSimulation<P> {
+        let plan = ShardPlan::auto(fabric.dims());
+        ParSimulation::with_plan(threads, plan, fabric, make)
     }
 
     /// [`ParSimulation::new`] with an explicit [`ShardPlan`] instead of
     /// [`ShardPlan::auto`] — for tests and experiments that sweep shard
     /// counts or axes without touching the process environment. The
-    /// plan's dims must match the fabric the closure builds.
+    /// plan's dims must match the fabric's.
     pub fn with_plan(
         threads: usize,
         plan: ShardPlan,
-        mut build_fabric: impl FnMut() -> Fabric,
+        fabric: Fabric,
         mut make: impl FnMut(NodeId) -> P,
     ) -> ParSimulation<P> {
-        let probe = build_fabric();
-        let dims = probe.dims();
+        let dims = fabric.dims();
         assert_eq!(dims, plan.dims(), "shard plan built for different dims");
-        let map = EvShardMap::new(plan, probe.timing());
-        drop(probe);
+        let map = EvShardMap::new(plan, fabric.timing());
         let mut engine = ParEngine::new(map, threads);
         engine.set_lookahead_mode(lookahead_mode_from_env());
         let n = dims.node_count();
         let mut worlds = Vec::with_capacity(plan.shard_count());
         for shard in 0..plan.shard_count() {
-            let mut fabric = build_fabric();
-            assert_eq!(fabric.dims(), dims, "build_fabric must be deterministic");
+            let mut fabric = fabric.replica();
             fabric.enable_node_scoped_uids();
             let programs = (0..n).map(|i| make(NodeId(i))).collect();
             worlds.push(NodeShardWorld {

@@ -29,8 +29,10 @@ pub enum EngineKind {
     #[default]
     Sequential,
     /// The sharded conservative-window engine. At one thread it still
-    /// pays for windows and merges, so it is *not* a stand-in for
-    /// [`EngineKind::Sequential`] (about 3× slower on the all-reduce).
+    /// runs windows and merges, so it is *not* a stand-in for
+    /// [`EngineKind::Sequential`], though on the 8³ all-reduce it costs
+    /// about the same host time (`des.allreduce.par1_over_seq` 0.99 in
+    /// the host-time benchmark on a 2-core host).
     Sharded {
         /// Worker threads; never affects simulated results.
         threads: usize,
@@ -122,20 +124,19 @@ pub struct Executed<P: NodeProgram> {
     pub report: RunReport,
 }
 
-/// Build the machine `run` describes from `build_fabric` (called once,
-/// or once per shard, and it must build identical fabrics) and
-/// `make_node` (a pure function of the node id), attach the observers,
-/// and run it to quiescence under the stall guard with an event budget
-/// of `max_events`.
+/// Run the machine `run` describes on `fabric` (built once; the
+/// sharded engine gives each shard a [`Fabric::replica`] of it) with
+/// `make_node` (a pure function of the node id) as the node programs:
+/// attach the observers and run to quiescence under the stall guard
+/// with an event budget of `max_events`.
 pub fn execute<P: NodeProgram + Send>(
     run: &Run,
-    mut build_fabric: impl FnMut() -> Fabric,
+    mut fabric: Fabric,
     make_node: impl FnMut(NodeId) -> P,
     max_events: u64,
 ) -> Executed<P> {
     let mut sim = match run.engine {
         EngineKind::Sequential => {
-            let mut fabric = build_fabric();
             match run.obs {
                 ObsMode::Off => {}
                 ObsMode::Flight => fabric.attach_owned_flight_recorder(),
@@ -144,7 +145,7 @@ pub fn execute<P: NodeProgram + Send>(
             Sim::Seq(Simulation::new(fabric, make_node))
         }
         EngineKind::Sharded { threads, lookahead } => {
-            let mut sim = ParSimulation::new(threads, build_fabric, make_node);
+            let mut sim = ParSimulation::new(threads, fabric, make_node);
             sim.set_lookahead_mode(lookahead);
             if run.profile {
                 sim.enable_runtime_profiling();

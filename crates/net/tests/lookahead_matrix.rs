@@ -77,16 +77,11 @@ fn run_sharded(
     threads: usize,
     mode: LookaheadMode,
 ) -> (anton_net::NetStats, SimTime, u64, Vec<SimTime>) {
-    let mut sim = ParSimulation::with_plan(
-        threads,
-        plan,
-        move || build(dims),
-        |_| Relay {
-            stride,
-            left: rounds,
-            finished_at: None,
-        },
-    );
+    let mut sim = ParSimulation::with_plan(threads, plan, build(dims), |_| Relay {
+        stride,
+        left: rounds,
+        finished_at: None,
+    });
     sim.set_lookahead_mode(mode);
     sim.run();
     (

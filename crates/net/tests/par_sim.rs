@@ -78,7 +78,7 @@ struct Observables {
 }
 
 fn run_par(dims: TorusDims, rounds: u32, threads: usize) -> Observables {
-    let mut sim = ParSimulation::new(threads, move || build(dims), make(rounds));
+    let mut sim = ParSimulation::new(threads, build(dims), make(rounds));
     sim.attach_flight_recorders();
     assert!(sim
         .run_guarded(SimTime(u64::MAX / 2), 10_000_000)

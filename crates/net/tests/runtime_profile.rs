@@ -87,7 +87,7 @@ fn run_relay(
     threads: usize,
     profile: bool,
 ) -> (Observables, Option<anton_des::ParProfile>) {
-    let mut sim = ParSimulation::new(threads, move || build(dims), make(rounds));
+    let mut sim = ParSimulation::new(threads, build(dims), make(rounds));
     sim.attach_flight_recorders();
     if profile {
         sim.enable_runtime_profiling();
@@ -185,7 +185,7 @@ fn telemetry_streams_heartbeats_without_perturbing_the_run() {
     let (plain, _) = run_relay(dims, 3, 4, false);
 
     let sink = Arc::new(Capture::default());
-    let mut sim = ParSimulation::new(4, move || build(dims), make(3));
+    let mut sim = ParSimulation::new(4, build(dims), make(3));
     sim.enable_telemetry(TelemetryConfig {
         period: std::time::Duration::ZERO,
         sink: sink.clone(),

@@ -3,7 +3,7 @@
 #
 #   scripts/ci.sh fast     # fmt, build, tests, clippy, doc warnings
 #   scripts/ci.sh full     # smokes + determinism + bench drift gates
-#   scripts/ci.sh nightly  # extended chaos sweep + 24^3 scale probe
+#   scripts/ci.sh nightly  # debug-profile tests + extended chaos sweep + 24^3 probe
 #   scripts/ci.sh          # fast + full (the complete tier-1 gate)
 #
 # The GitHub workflow runs `fast` and `full` as separate jobs with
@@ -157,6 +157,11 @@ full_gate() {
 }
 
 nightly_gate() {
+  # The workspace tests in the debug profile: the only run in which
+  # overflow checks and debug_assert!s (e.g. the parallel engine's
+  # shard-ownership checks) execute.
+  cargo test --workspace -q
+
   # Deep chaos sweep: 10 extra seeds per fault level plus a 4-thread
   # bit-identity check per cell.
   ANTON_CHAOS_EXTENDED=1 cargo run -q --release -p anton-bench --bin chaos_campaign
