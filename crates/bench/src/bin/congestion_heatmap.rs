@@ -10,7 +10,7 @@ use anton_net::{
     ClientAddr, ClientKind, Ctx, Fabric, FaultPlan, NodeProgram, Packet, Payload, ProgEvent,
     Simulation, Timing,
 };
-use anton_obs::{validate_json, ChromeTraceBuilder, CongestionMap, FlightRecorder};
+use anton_obs::{validate_json, ChromeTraceWriter, CongestionMap, FlightRecorder};
 use anton_topo::{LinkDir, NodeId, TorusDims};
 use std::rc::Rc;
 
@@ -125,10 +125,13 @@ fn main() {
 
     // ---- exports ----
     let csv = map.to_csv();
-    let mut trace = ChromeTraceBuilder::new();
-    trace.name_process(1, "link congestion (4x4x4 shower)");
-    map.counter_tracks(&mut trace, 1, 8);
-    let trace_json = trace.finish();
+    let mut trace = ChromeTraceWriter::new(Vec::new()).expect("in-memory write");
+    trace
+        .name_process(1, "link congestion (4x4x4 shower)")
+        .expect("in-memory write");
+    map.counter_tracks(&mut trace, 1, 8)
+        .expect("in-memory write");
+    let trace_json = String::from_utf8(trace.finish().expect("in-memory write")).expect("UTF-8");
     validate_json(&trace_json).expect("counter tracks are well-formed JSON");
 
     std::fs::create_dir_all("target/obs").expect("create target/obs");

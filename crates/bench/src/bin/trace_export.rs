@@ -11,13 +11,14 @@ use anton_bench::ping_pong;
 use anton_collectives::{all_reduce, random_inputs, Algorithm};
 use anton_net::{ObsMode, Run};
 use anton_obs::{
-    fold_lifecycles, validate_json, BreakdownSummary, ChromeTraceBuilder, MetricsRegistry,
+    fold_lifecycles, validate_json, BreakdownSummary, ChromeTraceWriter, LifecycleCsvWriter,
+    MetricsRegistry,
 };
 use anton_topo::{Coord, TorusDims};
 
 fn main() {
     let mut reg = MetricsRegistry::new();
-    let mut trace = ChromeTraceBuilder::new();
+    let mut trace = ChromeTraceWriter::new(Vec::new()).expect("in-memory write");
     let recorded = Run {
         obs: ObsMode::Flight,
         ..Run::default()
@@ -36,9 +37,11 @@ fn main() {
     );
     let lat = lat.expect("fault-free ping-pong completes");
     let (lives, _) = fold_lifecycles(seen.flight.iter());
-    trace.name_process(1, "ping-pong (512 nodes, 1 X hop)");
+    trace
+        .name_process(1, "ping-pong (512 nodes, 1 X hop)")
+        .expect("in-memory write");
     for lc in &lives {
-        trace.add_lifecycle(1, lc);
+        trace.add_lifecycle(1, lc).expect("in-memory write");
         reg.observe("pingpong.end_to_end", lc.end_to_end());
     }
     reg.set_counter("pingpong.packets", lives.len() as u64);
@@ -62,9 +65,11 @@ fn main() {
     );
     let out = out.expect("fault-free all-reduce completes");
     let (ar_lives, ar_fold) = fold_lifecycles(ar_seen.flight.iter());
-    trace.name_process(2, "all-reduce (2x2x2, butterfly)");
+    trace
+        .name_process(2, "all-reduce (2x2x2, butterfly)")
+        .expect("in-memory write");
     for lc in &ar_lives {
-        trace.add_lifecycle(2, lc);
+        trace.add_lifecycle(2, lc).expect("in-memory write");
         reg.observe("allreduce.end_to_end", lc.end_to_end());
     }
     reg.set_counter("allreduce.packets_sent", out.packets_sent);
@@ -79,11 +84,16 @@ fn main() {
 
     // ---- export ----
     let n_events = trace.len();
-    let trace_json = trace.finish();
+    let trace_json = String::from_utf8(trace.finish().expect("in-memory write")).expect("UTF-8");
     validate_json(&trace_json).expect("chrome trace is well-formed JSON");
     let metrics_json = reg.snapshot().to_json();
     validate_json(&metrics_json).expect("metrics snapshot is well-formed JSON");
-    let csv = lifecycles_header_merge(&lives, &ar_lives);
+    // One CSV with both workloads' lifecycles (same schema, one header).
+    let mut csv = LifecycleCsvWriter::new(Vec::new()).expect("in-memory write");
+    for lc in lives.iter().chain(&ar_lives) {
+        csv.write(lc).expect("in-memory write");
+    }
+    let csv = csv.finish().expect("in-memory write");
 
     std::fs::create_dir_all("target/obs").expect("create target/obs");
     std::fs::write("target/obs/trace.json", &trace_json).expect("write trace.json");
@@ -96,18 +106,4 @@ fn main() {
         reg.snapshot().values().len()
     );
     println!("open trace.json at https://ui.perfetto.dev (Trace Viewer)");
-}
-
-/// One CSV with both workloads' lifecycles (same schema, concatenated
-/// without repeating the header).
-fn lifecycles_header_merge(
-    a: &[anton_obs::PacketLifecycle],
-    b: &[anton_obs::PacketLifecycle],
-) -> String {
-    let mut csv = anton_obs::lifecycles_csv(a);
-    let tail = anton_obs::lifecycles_csv(b);
-    if let Some(idx) = tail.find('\n') {
-        csv.push_str(&tail[idx + 1..]);
-    }
-    csv
 }

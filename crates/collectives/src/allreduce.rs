@@ -795,12 +795,19 @@ mod tests {
         let dims = TorusDims::new(8, 8, 8);
         let inputs = random_inputs(dims, 4, 42);
         let algorithm = Algorithm::DimensionOrdered;
+        let mut make = make_programs(dims, algorithm, Default::default(), &inputs);
+        let mut made = 0u32;
         let mut sim = ParSimulation::with_plan(
             1,
             ShardPlan::new(dims, 8),
             build_allreduce_fabric(dims, &Run::default(), algorithm),
-            make_programs(dims, algorithm, Default::default(), &inputs),
+            |node| {
+                made += 1;
+                make(node)
+            },
         );
+        // Each shard builds programs only for the nodes it owns.
+        assert_eq!(made, dims.node_count());
         assert!(sim
             .run_guarded(SimTime(u64::MAX / 2), 100_000_000)
             .is_completed());

@@ -139,12 +139,6 @@ impl<K: Ord + Copy, V> CalendarQueue<K, V> {
         self.today.peek().map(|e| e.at)
     }
 
-    /// Earliest queued `(time, key)`, if any.
-    pub fn peek_key(&mut self) -> Option<(SimTime, K)> {
-        self.settle();
-        self.today.peek().map(|e| (e.at, e.key))
-    }
-
     /// Remove and return the entry with the smallest `(at, key)`.
     pub fn pop(&mut self) -> Option<(SimTime, K, V)> {
         self.settle();

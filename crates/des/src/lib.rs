@@ -2,7 +2,7 @@
 //!
 //! The foundation of the Anton SC10 reproduction: a picosecond-resolution
 //! event queue with strict deterministic ordering, plus measurement
-//! utilities (streaming stats, histograms, an activity tracer standing in
+//! utilities (streaming stats, an activity tracer standing in
 //! for Anton's on-chip logic analyzer) and a fixed, reproducible PRNG.
 //!
 //! Determinism is the load-bearing property: figure regeneration must be
@@ -47,21 +47,21 @@ pub mod trace;
 
 pub use calendar::{CalendarQueue, EventArena, DEFAULT_DAY_SHIFT};
 pub use engine::{Engine, EventHandler, NopProbe, Probe, RunOutcome, Scheduler};
-pub use par::{Executor, LookaheadMatrix, LookaheadMode, ParEngine, ShardMap};
+pub use par::{LookaheadMatrix, LookaheadMode, ParEngine, ShardMap};
 pub use profile::{
     Heartbeat, ParProfile, StderrTelemetry, TelemetryConfig, TelemetrySink, WindowSample,
     WorkerProfile, DEFAULT_SAMPLE_CAP,
 };
 pub use rng::Rng;
-pub use stats::{Histogram, Summary};
+pub use stats::Summary;
 pub use time::{SimDuration, SimTime};
-pub use trace::{Activity, BinnedUtilization, Interval, Tracer, TrackId};
+pub use trace::{Activity, Interval, Tracer, TrackId};
 
 /// Re-exported so dependents don't need to spell the module path.
 pub mod prelude {
     pub use crate::engine::{Engine, EventHandler, RunOutcome, Scheduler};
     pub use crate::rng::Rng;
-    pub use crate::stats::{Histogram, Summary};
+    pub use crate::stats::Summary;
     pub use crate::time::{SimDuration, SimTime};
-    pub use crate::trace::{Activity, BinnedUtilization, Tracer, TrackId};
+    pub use crate::trace::{Activity, Tracer, TrackId};
 }

@@ -39,11 +39,13 @@
 //! (0 for pre-run seeds), and `seq` a per-shard schedule counter. Events
 //! execute in `(time, birth_key)` order, a total order independent of
 //! thread interleaving. Because shard worlds are disjoint, a shard's
-//! execution depends only on its own event sequence — which the window
-//! protocol makes identical whatever the worker count — so an N-thread
-//! run is bit-identical to the 1-thread run, which in turn executes in
-//! the *global* `(time, birth_key)` order like the sequential
-//! [`Engine`](crate::Engine) does (with the shard-aware tie-break).
+//! execution depends only on its own event sequence, and the window
+//! partition is a pure function of the published shard heads and the
+//! static lookahead matrix. Every worker count, one included, thus
+//! executes the same events in the same per-shard order, so runs are
+//! bit-identical at any thread count. The sequential
+//! [`Engine`](crate::Engine) stays the reference the network and
+//! workload layers compare sharded runs against.
 
 use crate::calendar::{CalendarQueue, EventArena};
 use crate::engine::{EventHandler, RunOutcome, Scheduler};
@@ -83,41 +85,6 @@ pub trait ShardMap<E>: Sync {
     }
 }
 
-/// Common executor interface over the sequential [`Engine`](crate::Engine)
-/// (`W = world`) and the parallel [`ParEngine`] (`W = [world per shard]`).
-pub trait Executor<E, W: ?Sized> {
-    /// Run until the queue drains, `horizon` passes, or `max_events`
-    /// events have executed. Events stamped exactly at the horizon fire.
-    fn run_until_on(&mut self, world: &mut W, horizon: SimTime, max_events: u64) -> RunOutcome;
-
-    /// Time of the last event processed.
-    fn now(&self) -> SimTime;
-
-    /// Total events processed so far.
-    fn events_processed(&self) -> u64;
-
-    /// Events currently pending.
-    fn pending(&self) -> usize;
-}
-
-impl<E, W: EventHandler<E>> Executor<E, W> for crate::Engine<E> {
-    fn run_until_on(&mut self, world: &mut W, horizon: SimTime, max_events: u64) -> RunOutcome {
-        self.run_until(world, horizon, max_events)
-    }
-
-    fn now(&self) -> SimTime {
-        crate::Engine::now(self)
-    }
-
-    fn events_processed(&self) -> u64 {
-        crate::Engine::events_processed(self)
-    }
-
-    fn pending(&self) -> usize {
-        crate::Engine::pending(self)
-    }
-}
-
 /// Which window bound the engine applies per shard per window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LookaheadMode {
@@ -130,7 +97,7 @@ pub enum LookaheadMode {
     /// Never narrower than a Global window at the same start time, and
     /// bit-identical in simulated results (the window partition is a pure
     /// function of published heads and the static matrix, so it is the
-    /// same at every thread count and in the merged reference executor).
+    /// same at every thread count).
     #[default]
     Adaptive,
 }
@@ -305,10 +272,6 @@ impl<E> Shard<E> {
             .map(|(at, birth, handle)| (at, birth, self.arena.take(handle)))
     }
 
-    fn peek(&mut self) -> Option<(SimTime, BirthKey)> {
-        self.queue.peek_key()
-    }
-
     /// Head time in picoseconds, `u64::MAX` when drained — the exact
     /// value published to the coordination snapshot.
     fn head_ps(&mut self) -> u64 {
@@ -347,8 +310,8 @@ pub struct ParEngine<E, M> {
 
 impl<E: Send, M: ShardMap<E>> ParEngine<E, M> {
     /// Build an engine over `map`'s shards, executing with `threads`
-    /// workers (clamped to the shard count; 1 runs the sequential
-    /// global-order reference executor).
+    /// workers (clamped to the shard count). Every worker count, one
+    /// included, runs the same window protocol.
     pub fn new(map: M, threads: usize) -> ParEngine<E, M> {
         let n = map.shard_count();
         assert!(n > 0, "shard map must define at least one shard");
@@ -527,210 +490,33 @@ impl<E: Send, M: ShardMap<E>> ParEngine<E, M> {
         }
     }
 
-    /// Run until drained, past `horizon`, or `max_events` processed.
-    /// Events stamped exactly at the horizon fire (same boundary rule as
-    /// [`Engine::run_until`](crate::Engine::run_until)). The event budget
-    /// is checked at window boundaries — deterministically, at the same
+    /// Run until drained, past `horizon`, or `max_events` processed in
+    /// this call. Events stamped exactly at the horizon fire and the
+    /// budget counts only this call's events (the boundary rules of
+    /// [`Engine::run_until`](crate::Engine::run_until)). The budget is
+    /// checked at window boundaries — deterministically, at the same
     /// points whatever the thread count.
     ///
     /// `worlds` holds one world per shard; worlds must be disjoint (no
     /// shared mutable state) for the determinism guarantee to hold.
+    ///
+    /// Shards are block-partitioned across scoped worker threads, with
+    /// two spin-barrier crossings per window (import+reduce, execute). A
+    /// worker's panic is re-raised here with its own payload.
     pub fn run_until<W: EventHandler<E> + Send>(
         &mut self,
         worlds: &mut [W],
         horizon: SimTime,
         max_events: u64,
     ) -> RunOutcome {
-        assert_eq!(
-            worlds.len(),
-            self.shards.len(),
-            "one world per shard required"
-        );
-        let nworkers = self.threads.min(self.shards.len());
+        let nshards = self.shards.len();
+        assert_eq!(worlds.len(), nshards, "one world per shard required");
+        let nworkers = self.threads.min(nshards);
         let t0 = Instant::now();
         let mut run_prof = self
             .profiling
-            .map(|cap| ParProfile::new(nworkers, self.shards.len(), cap));
-        let outcome = if nworkers <= 1 {
-            self.run_merged(worlds, horizon, max_events, &mut run_prof, t0)
-        } else {
-            self.run_windowed(worlds, horizon, max_events, nworkers, &mut run_prof, t0)
-        };
-        if let Some(mut p) = run_prof {
-            p.wall_ns = elapsed_ns(t0);
-            match &mut self.profile {
-                None => self.profile = Some(p),
-                Some(acc) => acc.absorb(&p),
-            }
-        }
-        self.now = self
-            .shards
-            .iter()
-            .map(|s| s.last_at)
-            .max()
-            .unwrap_or(SimTime::ZERO);
-        outcome
-    }
-
-    /// The 1-thread reference executor: global `(time, birth)` order
-    /// across all shards, window-granular horizon/budget checks. This is
-    /// the "sequential engine" the windowed executor must match
-    /// bit-for-bit: it computes the identical per-shard window ends from
-    /// the identical head snapshot, so each window executes the identical
-    /// event set. Profiling and telemetry hooks fire at window boundaries
-    /// only, exactly like the windowed executor's.
-    fn run_merged<W: EventHandler<E>>(
-        &mut self,
-        worlds: &mut [W],
-        horizon: SimTime,
-        max_events: u64,
-        run_prof: &mut Option<ParProfile>,
-        t0: Instant,
-    ) -> RunOutcome {
+            .map(|cap| ParProfile::new(nworkers, nshards, cap));
         let policy = self.window_policy();
-        let nshards = self.shards.len();
-        let loop_start = run_prof.is_some().then(|| elapsed_ns(t0));
-        let mut wp = run_prof.as_ref().map(|_| WorkerProfile {
-            worker: 0,
-            first_shard: 0,
-            shards: nshards,
-            ..Default::default()
-        });
-        let already = self.events_processed;
-        let mut beat = self.telemetry.clone().map(|cfg| BeatState::new(cfg, t0));
-        let mut heads = vec![u64::MAX; nshards];
-        let mut ends = vec![0u64; nshards];
-        // Per-shard "this window reached past the global bound" flags.
-        let mut recovered = vec![false; nshards];
-        let outcome = loop {
-            for (i, s) in self.shards.iter_mut().enumerate() {
-                heads[i] = s.head_ps();
-            }
-            let t = *heads.iter().min().expect("at least one shard");
-            if t == u64::MAX {
-                break RunOutcome::Drained;
-            }
-            if t > horizon.0 {
-                break RunOutcome::HorizonReached;
-            }
-            if self.events_processed >= max_events {
-                break RunOutcome::BudgetExhausted;
-            }
-            if let Some(b) = beat.as_mut() {
-                let windows = wp.as_ref().map_or(b.windows_seen, |w| w.windows);
-                b.maybe_emit(
-                    SimTime(t),
-                    windows,
-                    self.events_processed - already,
-                    horizon,
-                    || self.shards.iter().map(|s| s.len() as u64).collect(),
-                );
-                b.windows_seen += 1;
-            }
-            for (b, end) in ends.iter_mut().enumerate() {
-                *end = policy.shard_end(&heads, b, t, horizon);
-            }
-            let g_end = policy.global_end(t, horizon);
-            let exec_start = wp.is_some().then(|| elapsed_ns(t0));
-            let mut window_events = 0u64;
-            // Global minimum (at, birth) head below its shard's end.
-            while let Some((_, sidx)) = self
-                .shards
-                .iter_mut()
-                .enumerate()
-                .filter_map(|(i, s)| s.peek().map(|h| (h, i)))
-                .filter(|((at, _), i)| at.0 < ends[*i])
-                .min()
-            {
-                let (at, _birth, event) = self.shards[sidx].pop().expect("peeked");
-                self.shards[sidx].last_at = at;
-                let born = at;
-                let mut sched = Scheduler::fresh(born);
-                worlds[sidx].handle(event, &mut sched);
-                self.events_processed += 1;
-                window_events += 1;
-                if let Some(p) = run_prof.as_mut() {
-                    p.shard_events[sidx] += 1;
-                }
-                if wp.is_some() && policy.mode == LookaheadMode::Adaptive && at.0 >= g_end {
-                    recovered[sidx] = true;
-                    if let Some(w) = wp.as_mut() {
-                        w.recovered_events += 1;
-                    }
-                }
-                for (eat, event) in sched.into_pending() {
-                    let birth = BirthKey {
-                        time: born,
-                        origin: sidx as u32 + 1,
-                        seq: self.shards[sidx].birth_seq,
-                    };
-                    self.shards[sidx].birth_seq += 1;
-                    let dst = self.map.shard_of(&event);
-                    if dst != sidx {
-                        policy.assert_cross(sidx, dst, born, eat);
-                        if let Some(p) = run_prof.as_mut() {
-                            p.traffic[sidx * p.shards + dst] += 1;
-                        }
-                    }
-                    self.shards[dst].push(eat, birth, event);
-                }
-            }
-            if let (Some(w), Some(start)) = (wp.as_mut(), exec_start) {
-                let exec_ns = elapsed_ns(t0).saturating_sub(start);
-                w.busy_ns += exec_ns;
-                w.windows += 1;
-                w.active_windows += u64::from(window_events > 0);
-                w.events += window_events;
-                for f in recovered.iter_mut() {
-                    w.extended_shard_windows += u64::from(*f);
-                    *f = false;
-                }
-                let cap = run_prof.as_ref().map_or(0, |p| p.sample_cap);
-                if w.samples.len() < cap {
-                    w.samples.push(WindowSample {
-                        window: w.windows - 1,
-                        start_ns: start,
-                        exec_ns,
-                        events: window_events,
-                        sim_ps: t,
-                    });
-                }
-            }
-        };
-        if let (Some(p), Some(mut w), Some(start)) = (run_prof.as_mut(), wp, loop_start) {
-            w.loop_ns = elapsed_ns(t0).saturating_sub(start);
-            p.windows = w.windows;
-            p.events = w.events;
-            p.recovered_events = w.recovered_events;
-            p.extended_shard_windows = w.extended_shard_windows;
-            // All shards execute on the single worker; attribute its
-            // busy time to shards by their event share (exact per-shard
-            // wall spans are only meaningful with one worker per block).
-            if w.events > 0 {
-                for (s, &ev) in p.shard_events.clone().iter().enumerate() {
-                    p.shard_busy_ns[s] = (w.busy_ns as u128 * ev as u128 / w.events as u128) as u64;
-                }
-            }
-            p.workers.push(w);
-        }
-        outcome
-    }
-
-    /// The windowed multi-worker executor. Shards are block-partitioned
-    /// across persistent scoped workers; two spin-barrier crossings per
-    /// window (import+reduce, execute).
-    fn run_windowed<W: EventHandler<E> + Send>(
-        &mut self,
-        worlds: &mut [W],
-        horizon: SimTime,
-        max_events: u64,
-        nworkers: usize,
-        run_prof: &mut Option<ParProfile>,
-        t0: Instant,
-    ) -> RunOutcome {
-        let nshards = self.shards.len();
-        let policy = self.window_policy();
-        let already = self.events_processed;
 
         // Block partition: worker w owns shards [bounds[w], bounds[w+1]).
         let bounds: Vec<usize> = (0..=nworkers).map(|w| w * nshards / nworkers).collect();
@@ -766,7 +552,7 @@ impl<E: Send, M: ShardMap<E>> ParEngine<E, M> {
             shard_chunks.reverse();
         }
 
-        let (outcome, shards_back, total_executed) = std::thread::scope(|scope| {
+        let results: Vec<_> = std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(nworkers);
             let mut world_rest = worlds;
             for (w, chunk) in shard_chunks.into_iter().enumerate() {
@@ -796,43 +582,64 @@ impl<E: Send, M: ShardMap<E>> ParEngine<E, M> {
                     )
                 }));
             }
-            let mut outcome = None;
-            let mut shards_back: Vec<Shard<E>> = Vec::with_capacity(nshards);
-            let mut total = 0u64;
             // Join in spawn order, so worker profiles merge in worker
             // order — the deterministic merge the profile docs promise.
-            for h in handles {
-                let (out, chunk, executed, wout) = h.join().expect("parallel DES worker panicked");
-                // Every worker reaches the identical decision; keep one.
-                outcome.get_or_insert(out);
-                debug_assert_eq!(outcome, Some(out));
-                if let (Some(p), Some(wo)) = (run_prof.as_mut(), wout) {
-                    let first = wo.wp.first_shard;
-                    for (i, &ev) in wo.shard_events.iter().enumerate() {
-                        p.shard_events[first + i] += ev;
-                    }
-                    for (i, &b) in wo.shard_busy_ns.iter().enumerate() {
-                        p.shard_busy_ns[first + i] += b;
-                    }
-                    for (i, &tr) in wo.traffic.iter().enumerate() {
-                        p.traffic[(first + i / nshards) * nshards + i % nshards] += tr;
-                    }
-                    // Every worker participates in every window.
-                    p.windows = p.windows.max(wo.wp.windows);
-                    p.events += wo.wp.events;
-                    p.recovered_events += wo.wp.recovered_events;
-                    p.extended_shard_windows += wo.wp.extended_shard_windows;
-                    p.workers.push(wo.wp);
-                }
-                shards_back.extend(chunk);
-                total += executed;
-            }
-            (outcome.expect("at least one worker"), shards_back, total)
+            handles.into_iter().map(|h| h.join()).collect()
         });
+        // A worker that panicked poisoned the barrier, so its siblings
+        // panicked out with the abort message: re-raise the cause.
+        if results.iter().any(Result::is_err) {
+            let mut payloads: Vec<_> = results.into_iter().filter_map(Result::err).collect();
+            let cause = payloads
+                .iter()
+                .position(|p| p.downcast_ref::<&str>() != Some(&SIBLING_ABORT))
+                .unwrap_or(0);
+            std::panic::resume_unwind(payloads.swap_remove(cause));
+        }
 
-        self.shards = shards_back;
-        self.events_processed = already + total_executed;
-        outcome
+        let mut outcome = None;
+        let mut total = 0u64;
+        for (out, chunk, executed, wout) in results.into_iter().map(|r| r.expect("checked above")) {
+            // Every worker reaches the identical decision; keep one.
+            outcome.get_or_insert(out);
+            debug_assert_eq!(outcome, Some(out));
+            if let (Some(p), Some(wo)) = (run_prof.as_mut(), wout) {
+                let first = wo.wp.first_shard;
+                for (i, &ev) in wo.shard_events.iter().enumerate() {
+                    p.shard_events[first + i] += ev;
+                }
+                for (i, &b) in wo.shard_busy_ns.iter().enumerate() {
+                    p.shard_busy_ns[first + i] += b;
+                }
+                for (i, &tr) in wo.traffic.iter().enumerate() {
+                    p.traffic[(first + i / nshards) * nshards + i % nshards] += tr;
+                }
+                // Every worker participates in every window.
+                p.windows = p.windows.max(wo.wp.windows);
+                p.events += wo.wp.events;
+                p.recovered_events += wo.wp.recovered_events;
+                p.extended_shard_windows += wo.wp.extended_shard_windows;
+                p.workers.push(wo.wp);
+            }
+            self.shards.extend(chunk);
+            total += executed;
+        }
+        self.events_processed += total;
+
+        if let Some(mut p) = run_prof {
+            p.wall_ns = elapsed_ns(t0);
+            match &mut self.profile {
+                None => self.profile = Some(p),
+                Some(acc) => acc.absorb(&p),
+            }
+        }
+        self.now = self
+            .shards
+            .iter()
+            .map(|s| s.last_at)
+            .max()
+            .unwrap_or(SimTime::ZERO);
+        outcome.expect("at least one worker")
     }
 }
 
@@ -926,8 +733,7 @@ fn elapsed_ns(t0: Instant) -> u64 {
 }
 
 /// Heartbeat throttle: tracks the last emission and computes rates over
-/// the interval since. Shared by the merged executor (main thread) and
-/// worker 0 of the windowed executor.
+/// the interval since. Owned by worker 0.
 struct BeatState {
     cfg: TelemetryConfig,
     t0: Instant,
@@ -1024,24 +830,6 @@ struct WorkerOut {
     /// Cross-shard traffic rows for owned shards, row-major
     /// `local_src * nshards + dst`.
     traffic: Vec<u64>,
-}
-
-impl<E: Send, M: ShardMap<E>, W: EventHandler<E> + Send> Executor<E, [W]> for ParEngine<E, M> {
-    fn run_until_on(&mut self, worlds: &mut [W], horizon: SimTime, max_events: u64) -> RunOutcome {
-        self.run_until(worlds, horizon, max_events)
-    }
-
-    fn now(&self) -> SimTime {
-        ParEngine::now(self)
-    }
-
-    fn events_processed(&self) -> u64 {
-        ParEngine::events_processed(self)
-    }
-
-    fn pending(&self) -> usize {
-        ParEngine::pending(self)
-    }
 }
 
 /// Shared state coordinating the workers of one windowed run.
@@ -1292,6 +1080,9 @@ fn worker_loop<E: Send, W: EventHandler<E>, M: ShardMap<E>>(
     (outcome, shards, executed_total, out.map(|(o, _)| o))
 }
 
+/// The panic payload of a worker that stops because a sibling panicked.
+const SIBLING_ABORT: &str = "parallel DES worker aborted: a sibling worker panicked";
+
 /// A reusable spin barrier (std's `Barrier` parks threads; windows are
 /// microseconds apart, so spinning is the right trade). Poison-aware:
 /// when a sibling panics, waiters panic out instead of hanging.
@@ -1319,7 +1110,7 @@ impl SpinBarrier {
             let mut spins = 0u32;
             while self.generation.load(MemOrd::SeqCst) == gen {
                 if poison.load(MemOrd::SeqCst) {
-                    panic!("parallel DES worker aborted: a sibling worker panicked");
+                    std::panic::panic_any(SIBLING_ABORT);
                 }
                 // Spin briefly for the common in-cache handoff, then
                 // yield: with more workers than cores a pure spin burns
@@ -1451,7 +1242,10 @@ mod tests {
 
     #[test]
     fn horizon_and_budget_stop_consistently() {
-        let run = |threads: usize, horizon: SimTime, budget: u64| {
+        // Each case is a sequence of `run_until(horizon, budget)` calls
+        // on one engine; the outcomes, logs and counters must not depend
+        // on the thread count.
+        let run = |threads: usize, calls: &[(SimTime, u64)]| {
             let nshards = 3;
             let mut eng = ParEngine::new(RingMap { n: nshards }, threads);
             let mut worlds: Vec<RingWorld> = (0..nshards)
@@ -1469,23 +1263,36 @@ mod tests {
                     tag: 0,
                 },
             );
-            let out = eng.run_until(&mut worlds, horizon, budget);
+            let outs: Vec<_> = calls
+                .iter()
+                .map(|&(h, b)| (eng.run_until(&mut worlds, h, b), eng.events_processed()))
+                .collect();
             let logs: Vec<_> = worlds.into_iter().map(|w| w.log).collect();
-            (out, logs, eng.events_processed(), eng.pending())
+            (outs, logs, eng.events_processed(), eng.pending())
         };
-        // An event scheduled exactly at the horizon fires in both
-        // executors (50 ns hops: the token lands at multiples of 50 ns).
+        // 50 ns hops: the token lands at multiples of 50 ns, so an event
+        // sits exactly at the horizon.
         let h = SimTime::from_ns(150);
-        let a = run(1, h, u64::MAX);
-        let b = run(4, h, u64::MAX);
-        assert_eq!(a, b);
-        assert_eq!(a.0, RunOutcome::HorizonReached);
-        assert!(a.1.iter().flatten().any(|&(t, _)| t == h.as_ps()));
-        // Budget exhaustion is window-granular but thread-count-invariant.
-        let c = run(1, SimTime(u64::MAX), 9);
-        let d = run(4, SimTime(u64::MAX), 9);
-        assert_eq!(c, d);
-        assert_eq!(c.0, RunOutcome::BudgetExhausted);
+        let never = SimTime(u64::MAX);
+        let cases: [(&[(SimTime, u64)], RunOutcome); 3] = [
+            (&[(h, u64::MAX)], RunOutcome::HorizonReached),
+            // Budget exhaustion is window-granular.
+            (&[(never, 9)], RunOutcome::BudgetExhausted),
+            // A resumed run gets a fresh budget, like `Engine::run_until`.
+            (&[(never, 9), (never, 9)], RunOutcome::BudgetExhausted),
+        ];
+        for (calls, want) in cases {
+            let base = run(1, calls);
+            for threads in [2, 4] {
+                assert_eq!(base, run(threads, calls), "{threads} threads, {calls:?}");
+            }
+            let outs = &base.0;
+            assert!(outs.iter().all(|o| o.0 == want), "{outs:?}");
+            assert!(outs.windows(2).all(|w| w[1].1 >= w[0].1 + 9), "{outs:?}");
+        }
+        // The event stamped exactly at the horizon fired.
+        let (_, logs, _, _) = run(1, cases[0].0);
+        assert!(logs.iter().flatten().any(|&(t, _)| t == h.as_ps()));
     }
 
     #[test]
@@ -1517,8 +1324,18 @@ mod tests {
         assert_eq!(eng.now(), SimTime(4 * 50_000));
     }
 
+    /// The panic message of `f`, which must panic.
+    fn panic_message(f: impl FnOnce()) -> String {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err("the run should have panicked");
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .expect("a string panic payload")
+    }
+
     #[test]
-    #[should_panic(expected = "lookahead violation")]
     fn undeclared_cross_shard_event_panics() {
         struct Cheater;
         impl EventHandler<Token> for Cheater {
@@ -1536,17 +1353,25 @@ mod tests {
                 }
             }
         }
-        let mut eng = ParEngine::new(RingMap { n: 2 }, 1);
-        let mut worlds = vec![Cheater, Cheater];
-        eng.schedule_at(
-            SimTime::ZERO,
-            Token {
-                shard: 0,
-                hops_left: 1,
-                tag: 0,
-            },
-        );
-        eng.run(&mut worlds);
+        for threads in [1, 2] {
+            let msg = panic_message(|| {
+                let mut eng = ParEngine::new(RingMap { n: 2 }, threads);
+                let mut worlds = vec![Cheater, Cheater];
+                eng.schedule_at(
+                    SimTime::ZERO,
+                    Token {
+                        shard: 0,
+                        hops_left: 1,
+                        tag: 0,
+                    },
+                );
+                eng.run(&mut worlds);
+            });
+            assert!(
+                msg.contains("lookahead violation"),
+                "{threads} threads: {msg}"
+            );
+        }
     }
 
     fn run_ring_profiled(
@@ -1681,34 +1506,6 @@ mod tests {
                 assert!(pair[1].events >= pair[0].events);
             }
         }
-    }
-
-    #[test]
-    fn executor_trait_unifies_engines() {
-        fn drive<X: Executor<Token, [RingWorld]> + ?Sized>(
-            x: &mut X,
-            worlds: &mut [RingWorld],
-        ) -> RunOutcome {
-            x.run_until_on(worlds, SimTime(u64::MAX), u64::MAX)
-        }
-        let mut eng = ParEngine::new(RingMap { n: 2 }, 2);
-        let mut worlds: Vec<RingWorld> = (0..2)
-            .map(|s| RingWorld {
-                shard: s,
-                nshards: 2,
-                log: Vec::new(),
-            })
-            .collect();
-        eng.schedule_at(
-            SimTime::ZERO,
-            Token {
-                shard: 0,
-                hops_left: 3,
-                tag: 0,
-            },
-        );
-        assert_eq!(drive(&mut eng, &mut worlds), RunOutcome::Drained);
-        assert_eq!(Executor::<Token, [RingWorld]>::pending(&eng), 0);
     }
 
     #[test]
@@ -1944,7 +1741,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unreachable")]
     fn event_across_unreachable_pair_panics() {
         // RingWorld only sends a -> a+1; sending backwards crosses a pair
         // the matrix declares unreachable.
@@ -1963,22 +1759,27 @@ mod tests {
                 }
             }
         }
-        let mut eng = ParEngine::new(MatrixRingMap { n: 4 }, 1);
-        let mut worlds = vec![
-            BackwardsWorld,
-            BackwardsWorld,
-            BackwardsWorld,
-            BackwardsWorld,
-        ];
-        eng.schedule_at_shard(
-            3,
-            SimTime::ZERO,
-            Token {
-                shard: 3,
-                hops_left: 1,
-                tag: 0,
-            },
-        );
-        eng.run(&mut worlds);
+        for threads in [1, 2, 4] {
+            let msg = panic_message(|| {
+                let mut eng = ParEngine::new(MatrixRingMap { n: 4 }, threads);
+                let mut worlds = vec![
+                    BackwardsWorld,
+                    BackwardsWorld,
+                    BackwardsWorld,
+                    BackwardsWorld,
+                ];
+                eng.schedule_at_shard(
+                    3,
+                    SimTime::ZERO,
+                    Token {
+                        shard: 3,
+                        hops_left: 1,
+                        tag: 0,
+                    },
+                );
+                eng.run(&mut worlds);
+            });
+            assert!(msg.contains("unreachable"), "{threads} threads: {msg}");
+        }
     }
 }

@@ -1,4 +1,4 @@
-//! Measurement helpers: streaming summaries and fixed-bin histograms.
+//! Measurement helpers: streaming summaries.
 
 use crate::time::SimDuration;
 
@@ -73,78 +73,6 @@ impl Summary {
     }
 }
 
-/// Fixed-width-bin histogram over non-negative f64 samples, with an
-/// overflow bin. Used for latency distributions.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    bin_width: f64,
-    bins: Vec<u64>,
-    overflow: u64,
-    summary: Summary,
-}
-
-impl Histogram {
-    /// `nbins` bins of `bin_width` each, covering `[0, nbins * bin_width)`.
-    pub fn new(bin_width: f64, nbins: usize) -> Self {
-        assert!(bin_width > 0.0 && nbins > 0);
-        Histogram {
-            bin_width,
-            bins: vec![0; nbins],
-            overflow: 0,
-            summary: Summary::new(),
-        }
-    }
-
-    /// Record one sample (values below 0 clamp into bin 0).
-    pub fn record(&mut self, x: f64) {
-        self.summary.record(x);
-        let idx = (x.max(0.0) / self.bin_width) as usize;
-        if idx < self.bins.len() {
-            self.bins[idx] += 1;
-        } else {
-            self.overflow += 1;
-        }
-    }
-
-    /// Count in bin `i`.
-    pub fn bin(&self, i: usize) -> u64 {
-        self.bins[i]
-    }
-
-    /// Count of samples beyond the last bin.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total samples recorded.
-    pub fn count(&self) -> u64 {
-        self.summary.count()
-    }
-
-    /// The streaming summary over all samples.
-    pub fn summary(&self) -> &Summary {
-        &self.summary
-    }
-
-    /// Approximate p-th percentile (0..=100) by bin interpolation.
-    /// Returns None if empty.
-    pub fn percentile(&self, p: f64) -> Option<f64> {
-        let total = self.count();
-        if total == 0 {
-            return None;
-        }
-        let target = (p / 100.0 * total as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.bins.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return Some((i as f64 + 0.5) * self.bin_width);
-            }
-        }
-        Some(self.bins.len() as f64 * self.bin_width)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,33 +98,6 @@ mod tests {
         assert_eq!(s.stddev(), 0.0);
         assert_eq!(s.min(), None);
         assert_eq!(s.max(), None);
-    }
-
-    #[test]
-    fn histogram_binning_and_overflow() {
-        let mut h = Histogram::new(10.0, 5); // [0,50)
-        for x in [0.0, 9.9, 10.0, 25.0, 49.9, 50.0, 1000.0] {
-            h.record(x);
-        }
-        assert_eq!(h.bin(0), 2);
-        assert_eq!(h.bin(1), 1);
-        assert_eq!(h.bin(2), 1);
-        assert_eq!(h.bin(4), 1);
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.count(), 7);
-    }
-
-    #[test]
-    fn histogram_percentile() {
-        let mut h = Histogram::new(1.0, 100);
-        for i in 0..100 {
-            h.record(i as f64);
-        }
-        let p50 = h.percentile(50.0).unwrap();
-        assert!((p50 - 49.5).abs() < 1.0, "p50={p50}");
-        let p99 = h.percentile(99.0).unwrap();
-        assert!(p99 >= 98.0, "p99={p99}");
-        assert_eq!(Histogram::new(1.0, 4).percentile(50.0), None);
     }
 
     #[test]

@@ -349,144 +349,6 @@ impl Tracer {
     }
 }
 
-/// Streaming, bounded-memory utilization bins: the O(nbins)-per-track
-/// counterpart of [`Tracer::utilization_bins`] for 100×-scale runs,
-/// where keeping every [`Interval`] is O(events).
-///
-/// Busy spans are deposited into fixed time bins as they are recorded
-/// and then dropped; the bin math (floored edges that tile the window
-/// exactly, straddling spans split between bins) is identical to the
-/// offline tracer query, and the conservation test pins the two to the
-/// same picosecond totals. Two accumulators over the same window merge
-/// by element-wise add, so per-shard tracing folds deterministically.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BinnedUtilization {
-    from: SimTime,
-    to: SimTime,
-    nbins: usize,
-    busy: BTreeMap<TrackId, Vec<u64>>,
-    units: BTreeMap<TrackId, u64>,
-}
-
-impl BinnedUtilization {
-    /// New accumulator splitting `[from, to)` into `nbins` equal bins.
-    pub fn new(from: SimTime, to: SimTime, nbins: usize) -> BinnedUtilization {
-        assert!(to > from, "empty utilization window");
-        assert!(nbins > 0, "need at least one bin");
-        BinnedUtilization {
-            from,
-            to,
-            nbins,
-            busy: BTreeMap::new(),
-            units: BTreeMap::new(),
-        }
-    }
-
-    /// The accumulation window.
-    pub fn window(&self) -> (SimTime, SimTime) {
-        (self.from, self.to)
-    }
-
-    /// Number of bins.
-    pub fn nbins(&self) -> usize {
-        self.nbins
-    }
-
-    /// Declare how many parallel units `track` aggregates (defaults
-    /// to 1), matching [`Tracer::set_track_units`].
-    pub fn set_track_units(&mut self, track: TrackId, units: u64) {
-        self.units.insert(track, units.max(1));
-    }
-
-    #[inline]
-    fn edge(&self, b: usize) -> u64 {
-        b as u64 * (self.to - self.from).as_ps() / self.nbins as u64
-    }
-
-    /// Deposit one activity span. Only [`Activity::Busy`] counts toward
-    /// utilization (mirroring the offline query); the span is clipped
-    /// to the window and split across the bins it straddles.
-    pub fn record(&mut self, track: TrackId, activity: Activity, start: SimTime, end: SimTime) {
-        if activity != Activity::Busy {
-            return;
-        }
-        let s = start.max(self.from);
-        let e = end.min(self.to);
-        if e <= s {
-            return;
-        }
-        let span_ps = (self.to - self.from).as_ps();
-        let (s, e) = ((s - self.from).as_ps(), (e - self.from).as_ps());
-        let nbins = self.nbins;
-        let first = ((s * nbins as u64 / span_ps) as usize).saturating_sub(1);
-        let last = (((e.saturating_sub(1)) * nbins as u64 / span_ps) as usize + 1).min(nbins - 1);
-        let slots = self.busy.entry(track).or_insert_with(|| vec![0u64; nbins]);
-        for (b, slot) in slots.iter_mut().enumerate().take(last + 1).skip(first) {
-            let lo = (b as u64 * span_ps / nbins as u64).max(s);
-            let hi = ((b + 1) as u64 * span_ps / nbins as u64).min(e);
-            *slot += hi.saturating_sub(lo);
-        }
-    }
-
-    /// Per-bin busy picoseconds of `track` (all zeros if never seen).
-    pub fn busy_ps(&self, track: TrackId) -> Vec<u64> {
-        self.busy
-            .get(&track)
-            .cloned()
-            .unwrap_or_else(|| vec![0; self.nbins])
-    }
-
-    /// Total busy time deposited for `track` (sums the bins exactly).
-    pub fn busy_time(&self, track: TrackId) -> SimDuration {
-        SimDuration::from_ps(self.busy.get(&track).map_or(0, |v| v.iter().sum()))
-    }
-
-    /// Per-bin busy fractions, normalized by bin span × track units —
-    /// the same series [`Tracer::utilization_bins`] computes offline.
-    pub fn fractions(&self, track: TrackId) -> Vec<f64> {
-        let units = self.units.get(&track).copied().unwrap_or(1) as f64;
-        let busy = self.busy_ps(track);
-        (0..self.nbins)
-            .map(|b| {
-                let bin_span = (self.edge(b + 1) - self.edge(b)) as f64;
-                if bin_span == 0.0 {
-                    0.0
-                } else {
-                    busy[b] as f64 / (bin_span * units)
-                }
-            })
-            .collect()
-    }
-
-    /// Tracks that deposited busy time, id order.
-    pub fn tracks(&self) -> impl Iterator<Item = TrackId> + '_ {
-        self.busy.keys().copied()
-    }
-
-    /// Merge another accumulator over the *same* window and bin count
-    /// (asserted): element-wise add, commutative and associative.
-    pub fn merge(&mut self, other: &BinnedUtilization) {
-        assert_eq!(
-            (self.from, self.to, self.nbins),
-            (other.from, other.to, other.nbins),
-            "merging utilization bins over different windows"
-        );
-        for (track, theirs) in &other.busy {
-            let slots = self
-                .busy
-                .entry(*track)
-                .or_insert_with(|| vec![0u64; self.nbins]);
-            for (a, b) in slots.iter_mut().zip(theirs) {
-                *a += b;
-            }
-        }
-        for (track, units) in &other.units {
-            let u = self.units.entry(*track).or_insert(1);
-            *u = (*u).max(*units);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -666,48 +528,5 @@ mod tests {
         let art = tr.ascii_timeline(t(0), t(100), 10);
         assert!(art.contains("#####"));
         assert!(art.contains("....."));
-    }
-
-    #[test]
-    fn binned_utilization_matches_offline_tracer() {
-        // Deliberately awkward: window not divisible by nbins, spans
-        // straddling edges and the window boundary, multi-unit track.
-        let mut tr = Tracer::enabled();
-        tr.set_track_units(TrackId(1), 4);
-        let lbl = tr.intern_label("w");
-        let mut bu = BinnedUtilization::new(t(0), t(100), 7);
-        bu.set_track_units(TrackId(1), 4);
-        let spans = [(3u64, 18u64), (17, 44), (60, 61), (95, 130), (0, 100)];
-        for &(s, e) in &spans {
-            tr.record(TrackId(1), Activity::Busy, t(s), t(e), lbl);
-            bu.record(TrackId(1), Activity::Busy, t(s), t(e));
-        }
-        tr.record(TrackId(1), Activity::Stalled, t(10), t(90), lbl);
-        bu.record(TrackId(1), Activity::Stalled, t(10), t(90));
-        assert_eq!(
-            bu.fractions(TrackId(1)),
-            tr.utilization_bins(TrackId(1), t(0), t(100), 7)
-        );
-        assert_eq!(
-            bu.busy_time(TrackId(1)),
-            tr.busy_time(TrackId(1), t(0), t(100))
-        );
-    }
-
-    #[test]
-    fn binned_utilization_merges_shards() {
-        let mut whole = BinnedUtilization::new(t(0), t(100), 5);
-        let mut a = BinnedUtilization::new(t(0), t(100), 5);
-        let mut b = BinnedUtilization::new(t(0), t(100), 5);
-        whole.record(TrackId(0), Activity::Busy, t(5), t(25));
-        a.record(TrackId(0), Activity::Busy, t(5), t(25));
-        whole.record(TrackId(0), Activity::Busy, t(50), t(80));
-        b.record(TrackId(0), Activity::Busy, t(50), t(80));
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b;
-        ba.merge(&a);
-        assert_eq!(ab, whole);
-        assert_eq!(ba, whole);
     }
 }

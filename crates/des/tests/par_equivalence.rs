@@ -1,5 +1,5 @@
-//! Property tests: the parallel engine is bit-identical to the
-//! sequential reference at every thread count, under randomized
+//! Property tests: the parallel engine is bit-identical to its 1-thread
+//! run at every thread count, under randomized
 //! workloads with same-timestamp chains, `now_event` calls, and
 //! cross-shard traffic at the lookahead bound.
 

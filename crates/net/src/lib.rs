@@ -34,7 +34,7 @@ pub use packet::{
 };
 pub use par::{
     lookahead_mode_from_env, merge_flight_events, parse_lookahead_mode, threads_from_env,
-    EvShardMap, NodeShardWorld, ObsMode, ParSimulation, ShardPlan,
+    EvShardMap, ObsMode, ParSimulation, ShardPlan,
 };
 pub use recovery::{
     chaos_level_from_env, chaos_seed_from_env, FailureVerdict, RecoveryConfig, RecoveryStats,

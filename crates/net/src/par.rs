@@ -24,14 +24,17 @@
 //!
 //! ## Shard worlds
 //!
-//! The machine's fabric is built once. Each shard owns a **replica** of
-//! it ([`Fabric::replica`]): the same dims, timing, fault plan and
-//! recovery policy, the multicast tables shared behind one `Arc` (they
-//! are only read during a run), and mutable state of its own. A replica
-//! is *authoritative only for its own nodes*: an event for node `n`
-//! executes exclusively on `n`'s owning shard, so each node's
-//! link/port/core/memory state is touched by exactly one replica, and a
-//! replica's non-owned state simply stays at its initial value. Client
+//! Each shard is a [`SimWorld`] — the type the sequential
+//! [`Simulation`](crate::Simulation) runs as its one shard — holding the
+//! programs of the nodes it owns. The machine's fabric is built once.
+//! Each shard owns a **replica** of it ([`Fabric::replica`]): the same
+//! dims, timing, fault plan and recovery policy, the multicast tables
+//! shared behind one `Arc` (they are only read during a run), and
+//! mutable state of its own. A replica is *authoritative only for its
+//! own nodes*: an event for node `n` executes exclusively on `n`'s
+//! owning shard, so each node's link/port/core/memory state is touched
+//! by exactly one replica, and a replica's non-owned state simply stays
+//! at its initial value. Client
 //! state is created on first write, so that non-owned remainder costs a
 //! replica almost nothing to build, hold or drop. Per-link fault draws
 //! are keyed on per-link attempt sequence numbers, which advance only
@@ -54,13 +57,12 @@
 //! the thread count, precisely so that thread count never influences
 //! event partitioning.
 
-use crate::fabric::{Ev, Fabric, NetStats, ProgEvent};
+use crate::fabric::{Ev, Fabric, NetStats};
 use crate::timing::Timing;
-use crate::world::{Ctx, NodeProgram, RunReport, SimWorld, StallReport, StuckWatch};
+use crate::world::{NodeProgram, RunReport, SimWorld, StallReport, StuckWatch};
 use anton_des::par::{LookaheadMatrix, LookaheadMode, ParEngine, ShardMap};
 use anton_des::{
-    EventHandler, ParProfile, RunOutcome, Scheduler, SimDuration, SimTime, StderrTelemetry,
-    TelemetryConfig, Tracer,
+    ParProfile, RunOutcome, SimDuration, SimTime, StderrTelemetry, TelemetryConfig, Tracer,
 };
 use anton_obs::{FlightEvent, StreamConfig, StreamFootprint, StreamSummary};
 use anton_topo::{Dim, NodeId, TorusDims};
@@ -244,9 +246,9 @@ impl ShardPlan {
 }
 
 /// Worker-thread count for parallel runs: the `ANTON_THREADS` env var,
-/// defaulting to 1 (sequential reference execution); invalid values warn
-/// once on stderr and fall back to 1. Thread count never affects
-/// simulated results — only wall-clock time.
+/// defaulting to 1; invalid values warn once on stderr and fall back to
+/// one thread. Thread count never affects simulated results — only
+/// wall-clock time.
 pub fn threads_from_env() -> usize {
     env_count("ANTON_THREADS", 1, &THREADS_WARNED)
 }
@@ -374,81 +376,6 @@ impl ShardMap<Ev> for EvShardMap {
     }
 }
 
-/// One shard's slice of the machine: a fabric replica (authoritative
-/// for this shard's nodes only) plus one program per node (only the
-/// owned ones ever run).
-pub struct NodeShardWorld<P: NodeProgram> {
-    shard: usize,
-    plan: ShardPlan,
-    /// This shard's fabric replica.
-    pub fabric: Fabric,
-    /// One program per node id; non-owned entries stay untouched.
-    pub programs: Vec<P>,
-}
-
-impl<P: NodeProgram> NodeShardWorld<P> {
-    /// Whether this shard owns `node`.
-    pub fn owns(&self, node: NodeId) -> bool {
-        self.plan.shard_of_node(node) == self.shard
-    }
-
-    fn dispatch(&mut self, node: NodeId, pe: ProgEvent, sched: &mut Scheduler<Ev>) {
-        debug_assert!(self.owns(node), "program event routed to the wrong shard");
-        let mut ctx = Ctx::new(&mut self.fabric, sched);
-        self.programs[node.index()].on_event(node, pe, &mut ctx);
-    }
-}
-
-impl<P: NodeProgram> EventHandler<Ev> for NodeShardWorld<P> {
-    fn handle(&mut self, event: Ev, sched: &mut Scheduler<Ev>) {
-        match event {
-            Ev::Start => {
-                // Each shard's Start dispatches only its own nodes, in
-                // node-id order (the same relative order the sequential
-                // world uses).
-                for i in 0..self.programs.len() {
-                    let node = NodeId(i as u32);
-                    if self.owns(node) {
-                        self.dispatch(node, ProgEvent::Start, sched);
-                    }
-                }
-            }
-            Ev::HopArrive { pkt, node, in_dim } => {
-                debug_assert!(self.owns(node));
-                let now = sched.now();
-                self.fabric.hop_arrive(pkt, node, in_dim, now, sched);
-            }
-            Ev::Deliver { pkt, node, client } => {
-                debug_assert!(self.owns(node));
-                let now = sched.now();
-                self.fabric.deliver(pkt, node, client, now, sched);
-            }
-            Ev::FifoService { node, client } => {
-                debug_assert!(self.owns(node));
-                let now = sched.now();
-                self.fabric.fifo_service(node, client, now, sched);
-            }
-            Ev::Prog { node, pe } => {
-                self.dispatch(node, pe, sched);
-            }
-            Ev::Reinject { pkt, node } => {
-                debug_assert!(self.owns(node));
-                let now = sched.now();
-                self.fabric.reinject(pkt, node, now, sched);
-            }
-            Ev::WatchdogCheck {
-                addr,
-                counter,
-                target,
-            } => {
-                debug_assert!(self.owns(addr.node));
-                let now = sched.now();
-                self.fabric.watchdog_check(addr, counter, target, now);
-            }
-        }
-    }
-}
-
 /// The parallel counterpart of [`Simulation`]: a sharded machine driven
 /// by [`ParEngine`]. Same event model, same results, N-way wall-clock
 /// parallelism.
@@ -456,20 +383,20 @@ impl<P: NodeProgram> EventHandler<Ev> for NodeShardWorld<P> {
 /// [`Simulation`]: crate::world::Simulation
 pub struct ParSimulation<P: NodeProgram> {
     engine: ParEngine<Ev, EvShardMap>,
-    worlds: Vec<NodeShardWorld<P>>,
+    worlds: Vec<SimWorld<P>>,
 }
 
 impl<P: NodeProgram + Send> ParSimulation<P> {
     /// Build a sharded machine from `fabric`, the machine's one built
     /// fabric (dims, timing, fault plan, recovery policy and multicast
     /// patterns — register patterns on it before this call). Every shard
-    /// gets a [`Fabric::replica`] of it, sharing its pattern tables;
-    /// `make` is called per shard per node and must be a pure function
-    /// of the node id. `threads` picks the worker count (1 = sequential
-    /// reference execution).
+    /// gets a [`Fabric::replica`] of it, sharing its pattern tables, and
+    /// the programs of the nodes it owns: `make` is called once per node,
+    /// shard by shard, and must be a pure function of the node id.
+    /// `threads` picks the worker count; it never changes results.
     ///
     /// Mid-run mutation of *other* nodes' fabric state through
-    /// [`Ctx::fabric_mut`] (e.g. re-registering a multicast pattern
+    /// [`Ctx::fabric_mut`](crate::Ctx::fabric_mut) (e.g. re-registering a multicast pattern
     /// mid-run) is not supported in the sharded mode: a replica's
     /// pattern tables are only consulted for owned nodes, and
     /// registering on a replica copies its tables away from its
@@ -494,18 +421,12 @@ impl<P: NodeProgram + Send> ParSimulation<P> {
         let map = EvShardMap::new(plan, fabric.timing());
         let mut engine = ParEngine::new(map, threads);
         engine.set_lookahead_mode(lookahead_mode_from_env());
-        let n = dims.node_count();
         let mut worlds = Vec::with_capacity(plan.shard_count());
         for shard in 0..plan.shard_count() {
             let mut fabric = fabric.replica();
             fabric.enable_node_scoped_uids();
-            let programs = (0..n).map(|i| make(NodeId(i))).collect();
-            worlds.push(NodeShardWorld {
-                shard,
-                plan,
-                fabric,
-                programs,
-            });
+            let owns = |node| plan.shard_of_node(node) == shard;
+            worlds.push(SimWorld::new(fabric, owns, &mut make));
             engine.schedule_at_shard(shard, SimTime::ZERO, Ev::Start);
         }
         if let Some(period) = telemetry_period_from_env() {
@@ -596,16 +517,14 @@ impl<P: NodeProgram + Send> ParSimulation<P> {
         self.engine.map().plan()
     }
 
-    /// The per-shard worlds (fabric replicas and programs).
-    pub fn worlds(&self) -> &[NodeShardWorld<P>] {
+    /// The per-shard worlds (fabric replicas and owned programs).
+    pub fn worlds(&self) -> &[SimWorld<P>] {
         &self.worlds
     }
 
-    /// The program instance that actually ran for `node` (the one on the
-    /// owning shard — the other replicas' instances never saw an event).
+    /// The program instance that ran for `node` (on its owning shard).
     pub fn program(&self, node: NodeId) -> &P {
-        let shard = self.plan().shard_of_node(node);
-        &self.worlds[shard].programs[node.index()]
+        self.worlds[self.plan().shard_of_node(node)].program(node)
     }
 
     /// Run to quiescence.
@@ -614,9 +533,9 @@ impl<P: NodeProgram + Send> ParSimulation<P> {
     }
 
     /// Run with a horizon and event budget. Same boundary semantics as
-    /// the sequential engine (horizon-stamped events fire); the budget
-    /// is enforced at window granularity, identically at every thread
-    /// count.
+    /// the sequential engine (horizon-stamped events fire; the budget
+    /// counts this call's events); the budget is enforced at window
+    /// granularity, identically at every thread count.
     pub fn run_until(&mut self, horizon: SimTime, max_events: u64) -> RunOutcome {
         self.engine.run_until(&mut self.worlds, horizon, max_events)
     }
@@ -832,8 +751,7 @@ pub fn merge_flight_events(per_shard: Vec<Vec<FlightEvent>>) -> Vec<FlightEvent>
 fn _assert_send<T: Send>() {}
 #[allow(dead_code)]
 fn _shard_world_is_send<P: NodeProgram + Send>() {
-    _assert_send::<NodeShardWorld<P>>();
-    let _ = _assert_send::<SimWorld<P>>;
+    _assert_send::<SimWorld<P>>();
 }
 
 #[cfg(test)]

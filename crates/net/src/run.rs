@@ -28,11 +28,12 @@ pub enum EngineKind {
     /// The single-threaded reference engine.
     #[default]
     Sequential,
-    /// The sharded conservative-window engine. At one thread it still
-    /// runs windows and merges, so it is *not* a stand-in for
-    /// [`EngineKind::Sequential`], though on the 8³ all-reduce it costs
-    /// about the same host time (`des.allreduce.par1_over_seq` 0.99 in
-    /// the host-time benchmark on a 2-core host).
+    /// The sharded conservative-window engine. Every thread count, one
+    /// included, runs the same window protocol, so it is *not* a
+    /// stand-in for [`EngineKind::Sequential`], though on the 8³
+    /// all-reduce one thread costs about the same host time
+    /// (`des.allreduce.par1_over_seq` 0.99 in the host-time benchmark on
+    /// a 2-core host).
     Sharded {
         /// Worker threads; never affects simulated results.
         threads: usize,
@@ -208,7 +209,7 @@ impl<P: NodeProgram + Send> Executed<P> {
     /// The program instance that ran for `node`.
     pub fn program(&self, node: NodeId) -> &P {
         match &self.sim {
-            Sim::Seq(s) => &s.world.programs[node.index()],
+            Sim::Seq(s) => s.world.program(node),
             Sim::Par(s) => s.program(node),
         }
     }

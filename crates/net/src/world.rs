@@ -31,16 +31,6 @@ pub struct Ctx<'a, 'b> {
 }
 
 impl<'a, 'b> Ctx<'a, 'b> {
-    /// Assemble a context around a fabric and scheduler (used by the
-    /// sequential [`SimWorld`] and the sharded worlds in [`crate::par`]).
-    pub(crate) fn new(fabric: &'a mut Fabric, sched: &'a mut Scheduler<Ev>) -> Ctx<'a, 'b> {
-        Ctx {
-            fabric,
-            sched,
-            _marker: std::marker::PhantomData,
-        }
-    }
-
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.sched.now()
@@ -204,49 +194,88 @@ impl<'a, 'b> Ctx<'a, 'b> {
     }
 }
 
-/// The complete simulated machine: fabric plus one program per node.
+/// A slice of the simulated machine: a fabric plus the programs of the
+/// nodes it owns. The sequential [`Simulation`] owns every node; each
+/// shard of a [`ParSimulation`](crate::ParSimulation) owns its slab and
+/// holds a fabric replica authoritative only for those nodes.
 pub struct SimWorld<P: NodeProgram> {
     /// The communication fabric.
     pub fabric: Fabric,
-    /// One program per node, indexed by node id.
-    pub programs: Vec<P>,
+    /// Per node id: the index into `programs`, or `NOT_OWNED`.
+    slot: Vec<u32>,
+    /// One program per owned node, in node-id order.
+    programs: Vec<(NodeId, P)>,
 }
 
+const NOT_OWNED: u32 = u32::MAX;
+
 impl<P: NodeProgram> SimWorld<P> {
-    /// Build from a fabric and a program constructor invoked per node id.
-    pub fn new(fabric: Fabric, mut make: impl FnMut(NodeId) -> P) -> Self {
+    /// Build from a fabric and a program constructor invoked once per
+    /// node `owns` selects, in node-id order.
+    pub(crate) fn new(
+        fabric: Fabric,
+        owns: impl Fn(NodeId) -> bool,
+        mut make: impl FnMut(NodeId) -> P,
+    ) -> Self {
         let n = fabric.dims().node_count();
-        let programs = (0..n).map(|i| make(NodeId(i))).collect();
-        SimWorld { fabric, programs }
+        let mut slot = vec![NOT_OWNED; n as usize];
+        let mut programs = Vec::new();
+        for node in (0..n).map(NodeId).filter(|&node| owns(node)) {
+            slot[node.index()] = programs.len() as u32;
+            programs.push((node, make(node)));
+        }
+        SimWorld {
+            fabric,
+            slot,
+            programs,
+        }
+    }
+
+    /// Whether this world runs `node`'s program and owns its fabric state.
+    pub fn owns(&self, node: NodeId) -> bool {
+        self.slot[node.index()] != NOT_OWNED
+    }
+
+    /// The program of an owned `node`. Panics if the world does not own it.
+    pub fn program(&self, node: NodeId) -> &P {
+        assert!(self.owns(node), "{node:?} is not owned by this world");
+        &self.programs[self.slot[node.index()] as usize].1
     }
 
     fn dispatch(&mut self, node: NodeId, pe: ProgEvent, sched: &mut Scheduler<Ev>) {
+        debug_assert!(self.owns(node), "program event routed to the wrong shard");
         let mut ctx = Ctx {
             fabric: &mut self.fabric,
             sched,
             _marker: std::marker::PhantomData,
         };
-        self.programs[node.index()].on_event(node, pe, &mut ctx);
+        let (_, program) = &mut self.programs[self.slot[node.index()] as usize];
+        program.on_event(node, pe, &mut ctx);
     }
 }
 
 impl<P: NodeProgram> EventHandler<Ev> for SimWorld<P> {
     fn handle(&mut self, event: Ev, sched: &mut Scheduler<Ev>) {
         match event {
+            // Each world's Start dispatches its own nodes in node-id order.
             Ev::Start => {
                 for i in 0..self.programs.len() {
-                    self.dispatch(NodeId(i as u32), ProgEvent::Start, sched);
+                    let node = self.programs[i].0;
+                    self.dispatch(node, ProgEvent::Start, sched);
                 }
             }
             Ev::HopArrive { pkt, node, in_dim } => {
+                debug_assert!(self.owns(node));
                 let now = sched.now();
                 self.fabric.hop_arrive(pkt, node, in_dim, now, sched);
             }
             Ev::Deliver { pkt, node, client } => {
+                debug_assert!(self.owns(node));
                 let now = sched.now();
                 self.fabric.deliver(pkt, node, client, now, sched);
             }
             Ev::FifoService { node, client } => {
+                debug_assert!(self.owns(node));
                 let now = sched.now();
                 self.fabric.fifo_service(node, client, now, sched);
             }
@@ -258,10 +287,12 @@ impl<P: NodeProgram> EventHandler<Ev> for SimWorld<P> {
                 counter,
                 target,
             } => {
+                debug_assert!(self.owns(addr.node));
                 let now = sched.now();
                 self.fabric.watchdog_check(addr, counter, target, now);
             }
             Ev::Reinject { pkt, node } => {
+                debug_assert!(self.owns(node));
                 let now = sched.now();
                 self.fabric.reinject(pkt, node, now, sched);
             }
@@ -384,7 +415,7 @@ impl<P: NodeProgram> Simulation<P> {
         engine.schedule_at(SimTime::ZERO, Ev::Start);
         Simulation {
             engine,
-            world: SimWorld::new(fabric, make),
+            world: SimWorld::new(fabric, |_| true, make),
         }
     }
 

@@ -7,7 +7,7 @@ use anton_net::{
     ClientAddr, ClientKind, Ctx, Fabric, FaultPlan, NodeProgram, Packet, Payload, ProgEvent,
     Simulation, Timing,
 };
-use anton_obs::{fold_lifecycles, ChromeTraceBuilder, FlightRecorder, SharedFlightRecorder, Stage};
+use anton_obs::{fold_lifecycles, ChromeTraceWriter, FlightRecorder, SharedFlightRecorder, Stage};
 use anton_topo::{NodeId, TorusDims};
 use proptest::prelude::*;
 use std::rc::Rc;
@@ -130,11 +130,11 @@ proptest! {
         let export = |rec: &SharedFlightRecorder| {
             let rec = rec.borrow();
             let (lives, _) = fold_lifecycles(rec.events());
-            let mut trace = ChromeTraceBuilder::new();
+            let mut trace = ChromeTraceWriter::new(Vec::new()).unwrap();
             for lc in &lives {
-                trace.add_lifecycle(1, lc);
+                trace.add_lifecycle(1, lc).unwrap();
             }
-            trace.finish()
+            String::from_utf8(trace.finish().unwrap()).unwrap()
         };
 
         let rec_a = FlightRecorder::new().into_shared();

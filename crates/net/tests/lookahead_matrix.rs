@@ -160,11 +160,8 @@ proptest! {
         });
         seq.run();
         let want_now = seq.now();
-        let want_finished: Vec<SimTime> = seq
-            .world
-            .programs
-            .iter()
-            .map(|p| p.finished_at.expect("finished"))
+        let want_finished: Vec<SimTime> = (0..dims.node_count())
+            .map(|i| seq.world.program(NodeId(i)).finished_at.expect("finished"))
             .collect();
 
         let reference = run_sharded(dims, plan, stride, rounds, 1, LookaheadMode::Adaptive);

@@ -137,11 +137,8 @@ fn par_matches_the_sequential_simulation() {
         seq.world.fabric.stats.delivered_by_node
     );
     assert_eq!(par.now, seq.now());
-    let seq_finished: Vec<SimTime> = seq
-        .world
-        .programs
-        .iter()
-        .map(|p| p.finished_at.expect("finished"))
+    let seq_finished: Vec<SimTime> = (0..dims.node_count())
+        .map(|i| seq.world.program(NodeId(i)).finished_at.expect("finished"))
         .collect();
     assert_eq!(par.finished, seq_finished);
 }

@@ -209,7 +209,7 @@ fn mid_run_link_death_reroutes_and_loses_nothing() {
     assert_eq!(stats.packets_lost + stats.packets_unreachable, 0);
     assert!(recovery.reinjections > 0, "in-flight packets were re-sent");
     assert!(recovery.link_verdicts >= 1);
-    let received = &sim.world.programs[1].received;
+    let received = &sim.world.program(NodeId(1)).received;
     assert_eq!(received.len(), 100);
     // In-order reassembly: tokens arrive in send order despite the
     // detoured packets racing the originals.
@@ -364,7 +364,7 @@ proptest! {
             "recovery must deliver every message"
         );
         for &(src, dst) in &pairs {
-            let got: Vec<u64> = sim.world.programs[dst.index()]
+            let got: Vec<u64> = sim.world.program(dst)
                 .received
                 .iter()
                 .filter(|(s, _)| *s == src)

@@ -6,7 +6,7 @@
 //! timestamps map to the format's microsecond `ts` field as fractional
 //! values, so a 162 ns flight shows up as a 0.162 µs slice.
 //!
-//! The builder is deliberately low-level — named slices, instants, and
+//! The writer is deliberately low-level — named slices, instants, and
 //! counters on numbered process/thread rows — so both the packet flight
 //! recorder (one row per packet, one slice per Figure 6 stage) and the
 //! `des::trace` activity tracer (one row per hardware track, one slice
@@ -23,12 +23,6 @@ use anton_des::SimTime;
 use std::fmt::Write as _;
 use std::io;
 
-/// Builds a Chrome `trace_event` JSON document incrementally.
-#[derive(Debug, Default)]
-pub struct ChromeTraceBuilder {
-    events: Vec<String>,
-}
-
 /// Format a picosecond timestamp as the trace format's microsecond `ts`.
 fn ts_us(t: SimTime) -> String {
     // Emit as an exact decimal (ps = µs * 1e6), avoiding float noise.
@@ -44,10 +38,6 @@ fn ts_us(t: SimTime) -> String {
 fn dur_us(from: SimTime, to: SimTime) -> String {
     ts_us(SimTime::from_ps(to.as_ps().saturating_sub(from.as_ps())))
 }
-
-// One formatting function per event kind, shared by the in-memory
-// builder and the streaming writer so the two paths are byte-identical
-// by construction (the streaming-equivalence test locks this in).
 
 fn ev_process_name(pid: u64, name: &str) -> String {
     format!(
@@ -132,82 +122,9 @@ fn lifecycle_events(pid: u64, lc: &PacketLifecycle) -> Vec<String> {
 
 const TRACE_HEADER: &str = "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n";
 
-impl ChromeTraceBuilder {
-    /// An empty trace.
-    pub fn new() -> ChromeTraceBuilder {
-        ChromeTraceBuilder::default()
-    }
-
-    /// Name a process row (`"M"` metadata event).
-    pub fn name_process(&mut self, pid: u64, name: &str) {
-        self.events.push(ev_process_name(pid, name));
-    }
-
-    /// Name a thread row within a process (`"M"` metadata event).
-    pub fn name_thread(&mut self, pid: u64, tid: u64, name: &str) {
-        self.events.push(ev_thread_name(pid, tid, name));
-    }
-
-    /// Add a complete slice (`"X"` event) spanning `[start, end]`.
-    pub fn add_slice(
-        &mut self,
-        pid: u64,
-        tid: u64,
-        cat: &str,
-        name: &str,
-        start: SimTime,
-        end: SimTime,
-    ) {
-        self.events.push(ev_slice(pid, tid, cat, name, start, end));
-    }
-
-    /// Add an instant marker (`"i"` event, process scope).
-    pub fn add_instant(&mut self, pid: u64, tid: u64, cat: &str, name: &str, at: SimTime) {
-        self.events.push(ev_instant(pid, tid, cat, name, at));
-    }
-
-    /// Add a counter sample (`"C"` event) — renders as a track graph.
-    pub fn add_counter(&mut self, pid: u64, name: &str, at: SimTime, value: f64) {
-        self.events.push(ev_counter(pid, name, at, value));
-    }
-
-    /// Add one packet lifecycle as a thread row: one slice per non-empty
-    /// Figure 6 stage, plus instant markers for retransmits folded in by
-    /// the caller if desired. `pid` groups packets (e.g. by source node).
-    pub fn add_lifecycle(&mut self, pid: u64, lc: &PacketLifecycle) {
-        self.events.extend(lifecycle_events(pid, lc));
-    }
-
-    /// Number of events added so far.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether no events were added.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Finish into the JSON document.
-    pub fn finish(self) -> String {
-        let mut out = String::from(TRACE_HEADER);
-        for (i, ev) in self.events.iter().enumerate() {
-            out.push_str(ev);
-            if i + 1 < self.events.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("]}\n");
-        out
-    }
-}
-
 /// Streams a Chrome `trace_event` JSON document to any [`io::Write`]
-/// sink, chunk by chunk, without accumulating events in memory — the
-/// bounded-memory counterpart of [`ChromeTraceBuilder`] for 100×-scale
-/// runs. Output is byte-identical to the builder's for the same call
-/// sequence (both paths share the event formatters).
+/// sink, chunk by chunk, without accumulating events in memory (write to
+/// a `Vec<u8>` for an in-memory document).
 #[derive(Debug)]
 pub struct ChromeTraceWriter<W: io::Write> {
     w: W,
@@ -325,20 +242,10 @@ fn csv_row(lc: &PacketLifecycle) -> String {
     out
 }
 
-/// Render lifecycles as a flat CSV summary (one row per packet, one
-/// column per Figure 6 stage) — the spreadsheet-friendly counterpart of
-/// the Chrome trace.
-pub fn lifecycles_csv(lifecycles: &[PacketLifecycle]) -> String {
-    let mut out = String::from(CSV_HEADER);
-    for lc in lifecycles {
-        out.push_str(&csv_row(lc));
-    }
-    out
-}
-
-/// Streams the lifecycle CSV to any [`io::Write`] sink one row at a
-/// time — byte-identical to [`lifecycles_csv`] over the same rows, with
-/// O(1) memory.
+/// Streams the packet lifecycles as a flat CSV summary (one row per
+/// packet, one column per Figure 6 stage) — the spreadsheet-friendly
+/// counterpart of the Chrome trace — to any [`io::Write`] sink one row
+/// at a time, with O(1) memory.
 #[derive(Debug)]
 pub struct LifecycleCsvWriter<W: io::Write> {
     w: W,
@@ -395,11 +302,12 @@ mod tests {
 
     #[test]
     fn trace_json_is_valid() {
-        let mut b = ChromeTraceBuilder::new();
-        b.name_process(0, "fabric \"node\" 0");
-        b.add_lifecycle(0, &lifecycle());
-        b.add_counter(0, "fifo depth", SimTime::from_ns(10), 3.0);
-        let json = b.finish();
+        let mut w = ChromeTraceWriter::new(Vec::new()).unwrap();
+        w.name_process(0, "fabric \"node\" 0").unwrap();
+        w.add_lifecycle(0, &lifecycle()).unwrap();
+        w.add_counter(0, "fifo depth", SimTime::from_ns(10), 3.0)
+            .unwrap();
+        let json = String::from_utf8(w.finish().unwrap()).unwrap();
         validate_json(&json).unwrap();
         assert!(json.contains("\"router + wire\""));
         // 95 ns head arrival → ts 0.095 µs, trailing zeros trimmed.
@@ -408,7 +316,11 @@ mod tests {
 
     #[test]
     fn empty_trace_is_valid() {
-        validate_json(&ChromeTraceBuilder::new().finish()).unwrap();
+        let empty = ChromeTraceWriter::new(Vec::new())
+            .unwrap()
+            .finish()
+            .unwrap();
+        validate_json(std::str::from_utf8(&empty).unwrap()).unwrap();
     }
 
     #[test]
@@ -419,38 +331,10 @@ mod tests {
     }
 
     #[test]
-    fn streaming_writer_is_byte_identical_to_builder() {
-        let lc = lifecycle();
-        let mut b = ChromeTraceBuilder::new();
-        b.name_process(3, "node 3");
-        b.add_lifecycle(3, &lc);
-        b.add_counter(3, "depth", SimTime::from_ns(7), 1.5);
-        let built = b.finish();
-
-        let mut w = ChromeTraceWriter::new(Vec::new()).unwrap();
-        w.name_process(3, "node 3").unwrap();
-        w.add_lifecycle(3, &lc).unwrap();
-        w.add_counter(3, "depth", SimTime::from_ns(7), 1.5).unwrap();
-        let streamed = String::from_utf8(w.finish().unwrap()).unwrap();
-        assert_eq!(built, streamed);
-
-        // Empty documents agree too.
-        let empty_b = ChromeTraceBuilder::new().finish();
-        let empty_w = ChromeTraceWriter::new(Vec::new())
-            .unwrap()
-            .finish()
-            .unwrap();
-        assert_eq!(empty_b.as_bytes(), empty_w.as_slice());
-
-        let mut cb = LifecycleCsvWriter::new(Vec::new()).unwrap();
-        cb.write(&lc).unwrap();
-        let streamed_csv = String::from_utf8(cb.finish().unwrap()).unwrap();
-        assert_eq!(lifecycles_csv(&[lc]), streamed_csv);
-    }
-
-    #[test]
     fn csv_rows_telescope() {
-        let csv = lifecycles_csv(&[lifecycle()]);
+        let mut w = LifecycleCsvWriter::new(Vec::new()).unwrap();
+        w.write(&lifecycle()).unwrap();
+        let csv = String::from_utf8(w.finish().unwrap()).unwrap();
         let row = csv.lines().nth(1).unwrap();
         let cols: Vec<f64> = row.split(',').skip(7).map(|c| c.parse().unwrap()).collect();
         let sum: f64 = cols[..5].iter().sum();

@@ -14,11 +14,12 @@
 //! reservation spans exactly, which the tests cross-check against the
 //! DES tracer's independent per-direction busy accounting.
 
-use crate::chrome_trace::ChromeTraceBuilder;
+use crate::chrome_trace::ChromeTraceWriter;
 use crate::recorder::FlightEvent;
 use anton_des::{SimDuration, SimTime};
 use anton_topo::{LinkDir, NodeId};
 use std::collections::{BTreeMap, HashMap};
+use std::io;
 
 /// Load telemetry for one outgoing link direction of one node.
 #[derive(Debug, Clone, Default)]
@@ -278,8 +279,13 @@ impl CongestionMap {
     /// Emit Chrome-trace counter tracks under `pid`: one aggregate
     /// utilization track per torus direction plus individual tracks for
     /// the `top` hottest links (bounding the track count on big runs).
-    pub fn counter_tracks(&self, trace: &mut ChromeTraceBuilder, pid: u64, top: usize) {
-        trace.name_process(pid, "congestion");
+    pub fn counter_tracks<W: io::Write>(
+        &self,
+        trace: &mut ChromeTraceWriter<W>,
+        pid: u64,
+        top: usize,
+    ) -> io::Result<()> {
+        trace.name_process(pid, "congestion")?;
         let bin_ps = self.bin.as_ps();
         for dir in LinkDir::ALL {
             let mut per_bin = vec![0u64; self.nbins];
@@ -299,7 +305,7 @@ impl CongestionMap {
             let name = format!("util.{}", dir);
             for (b, &v) in per_bin.iter().enumerate() {
                 let frac = v as f64 / (bin_ps * active) as f64;
-                trace.add_counter(pid, &name, SimTime::from_ps(b as u64 * bin_ps), frac);
+                trace.add_counter(pid, &name, SimTime::from_ps(b as u64 * bin_ps), frac)?;
             }
         }
         for ((node, link), _) in self.hottest_links(top) {
@@ -307,9 +313,10 @@ impl CongestionMap {
             let name = format!("link.n{}.{}", node.0, link);
             for b in 0..self.nbins {
                 let frac = load.busy_ps[b] as f64 / bin_ps as f64;
-                trace.add_counter(pid, &name, SimTime::from_ps(b as u64 * bin_ps), frac);
+                trace.add_counter(pid, &name, SimTime::from_ps(b as u64 * bin_ps), frac)?;
             }
         }
+        Ok(())
     }
 
     /// A terminal heatmap: one row per hot link (up to `top`), one
@@ -431,10 +438,11 @@ mod tests {
         assert!(csv.contains("link,3,"));
         let heat = map.ascii_heatmap(4);
         assert!(heat.contains("n3"));
-        let mut trace = ChromeTraceBuilder::new();
-        map.counter_tracks(&mut trace, 9, 4);
+        let mut trace = ChromeTraceWriter::new(Vec::new()).unwrap();
+        map.counter_tracks(&mut trace, 9, 4).unwrap();
         assert!(!trace.is_empty());
-        crate::json::validate_json(&trace.finish()).expect("counter tracks are valid JSON");
+        let json = String::from_utf8(trace.finish().unwrap()).unwrap();
+        crate::json::validate_json(&json).expect("counter tracks are valid JSON");
         assert_eq!(map.hottest_links(8).len(), 1);
         assert_eq!(map.max_queue_depth(), 1);
     }

@@ -80,7 +80,7 @@ pub mod stream;
 
 pub use breakdown::{fold_lifecycles, BreakdownSummary, FoldStats, PacketLifecycle, Stage};
 pub use causal::{Blame, CEdge, CNode, CausalGraph, CriticalPath, EdgeKind, NodeKind};
-pub use chrome_trace::{lifecycles_csv, ChromeTraceBuilder, ChromeTraceWriter, LifecycleCsvWriter};
+pub use chrome_trace::{ChromeTraceWriter, LifecycleCsvWriter};
 pub use congestion::{CongestionMap, LinkLoad, RouterLoad};
 pub use dashboard::{render_dashboard, validate_html, DashboardInput};
 pub use fingerprint::{fnv1a64, Fingerprint};

@@ -24,10 +24,11 @@
 //! and events/window counter tracks, loadable in Perfetto next to the
 //! simulated-fabric trace.
 
-use crate::chrome_trace::ChromeTraceBuilder;
+use crate::chrome_trace::ChromeTraceWriter;
 use crate::regress::BenchReport;
 use anton_des::{ParProfile, SimTime, WorkerProfile};
 use std::fmt::Write as _;
+use std::io;
 
 /// Exact decomposition of the parallel-speedup gap.
 ///
@@ -314,7 +315,12 @@ impl RuntimeSummary {
 /// Perfetto (<https://ui.perfetto.dev>) next to the simulated-fabric
 /// trace from `trace_export`.
 pub fn profile_chrome_trace(prof: &ParProfile) -> String {
-    let mut b = ChromeTraceBuilder::new();
+    let json = write_profile_trace(prof).expect("writing to a Vec cannot fail");
+    String::from_utf8(json).expect("the trace writer emits UTF-8")
+}
+
+fn write_profile_trace(prof: &ParProfile) -> io::Result<Vec<u8>> {
+    let mut b = ChromeTraceWriter::new(Vec::new())?;
     let wall_ns = |ns: u64| SimTime::from_ps(ns.saturating_mul(1000));
     b.name_process(
         0,
@@ -322,8 +328,8 @@ pub fn profile_chrome_trace(prof: &ParProfile) -> String {
             "par runtime ({} workers x {} shards)",
             prof.threads, prof.shards
         ),
-    );
-    b.name_process(1, "par runtime phase totals");
+    )?;
+    b.name_process(1, "par runtime phase totals")?;
     for w in &prof.workers {
         let tid = w.worker as u64 + 1;
         b.name_thread(
@@ -335,7 +341,7 @@ pub fn profile_chrome_trace(prof: &ParProfile) -> String {
                 w.first_shard,
                 w.first_shard + w.shards
             ),
-        );
+        )?;
         for s in &w.samples {
             if s.events == 0 {
                 continue;
@@ -347,17 +353,17 @@ pub fn profile_chrome_trace(prof: &ParProfile) -> String {
                 &format!("w{} ({} ev)", s.window, s.events),
                 wall_ns(s.start_ns),
                 wall_ns(s.start_ns + s.exec_ns.max(1)),
-            );
+            )?;
             b.add_counter(
                 0,
                 &format!("worker {} events/window", w.worker),
                 wall_ns(s.start_ns),
                 s.events as f64,
-            );
+            )?;
         }
         // Phase totals as one stacked bar per worker: where the loop
         // time went, end to end.
-        b.name_thread(1, tid, &format!("worker {} totals", w.worker));
+        b.name_thread(1, tid, &format!("worker {} totals", w.worker))?;
         let mut at = 0u64;
         for (name, ns) in [
             ("busy", w.busy_ns),
@@ -367,7 +373,7 @@ pub fn profile_chrome_trace(prof: &ParProfile) -> String {
             ("windowing", w.windowing_ns()),
         ] {
             if ns > 0 {
-                b.add_slice(1, tid, "phase", name, wall_ns(at), wall_ns(at + ns));
+                b.add_slice(1, tid, "phase", name, wall_ns(at), wall_ns(at + ns))?;
             }
             at += ns;
         }

@@ -38,16 +38,19 @@ full_gate() {
   test -s target/obs/congestion_trace.json
 
   # Parallel-engine determinism cross-check: the same workload mix run
-  # sequentially and with 4 worker threads must fingerprint identically,
-  # byte for byte — and the adaptive per-pair lookahead must fingerprint
-  # identically to the uniform global bound.
+  # with 1, 2 (the host-time benchmark's count) and 4 worker threads
+  # must fingerprint identically, byte for byte — and the adaptive
+  # per-pair lookahead must fingerprint identically to the uniform
+  # global bound.
   ANTON_THREADS=1 cargo run -q --release -p anton-bench --bin par_determinism
   cp target/obs/par_fingerprint.txt target/obs/par_fingerprint_t1.txt
-  ANTON_THREADS=4 cargo run -q --release -p anton-bench --bin par_determinism
-  if ! diff -u target/obs/par_fingerprint_t1.txt target/obs/par_fingerprint.txt; then
-    echo "ci: parallel engine is not thread-count deterministic" >&2
-    exit 1
-  fi
+  for threads in 2 4; do
+    ANTON_THREADS=$threads cargo run -q --release -p anton-bench --bin par_determinism
+    if ! diff -u target/obs/par_fingerprint_t1.txt target/obs/par_fingerprint.txt; then
+      echo "ci: parallel engine is not thread-count deterministic ($threads threads)" >&2
+      exit 1
+    fi
+  done
   ANTON_THREADS=4 ANTON_LOOKAHEAD=global \
     cargo run -q --release -p anton-bench --bin par_determinism
   if ! diff -u target/obs/par_fingerprint_t1.txt target/obs/par_fingerprint.txt; then
